@@ -2,7 +2,7 @@ package core
 
 import (
 	"context"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"zskyline/internal/mapreduce"
@@ -12,24 +12,15 @@ import (
 	"zskyline/internal/point"
 )
 
-// candidate is a phase-2 output record.
-type candidate struct {
-	gid int
-	p   point.Point
-}
-
-// mergeRec is a phase-3 shuffle record: a candidate tagged with the
-// merge task it belongs to.
-type mergeRec struct {
-	task, gid int
-	p         point.Point
-}
-
 // mrExec schedules plan phases as jobs on the MapReduce simulator. It
 // implements plan.MapReducer so phase 2 stays one fused job — keeping
-// the simulator's combiner and its shuffle/straggler/fault accounting
-// — and runs phase 3 as a second job. The embedded LocalExec serves
-// the plain map/reduce task interfaces, which plan.Run bypasses here.
+// the simulator's shuffle/straggler/fault accounting — and runs phase 3
+// as a second job. Both jobs shuffle plan.Groups (a block of rows plus
+// its Z-address column), never single rows, so each address is encoded
+// once by the mapper that routes its row and reused by the local
+// skyline and every merge round: the encode-once path LocalExec and
+// dist run. The embedded LocalExec serves the plain map/reduce task
+// interfaces, which plan.Run bypasses here.
 type mrExec struct {
 	*plan.LocalExec
 	cluster *mapreduce.Cluster
@@ -39,66 +30,73 @@ type mrExec struct {
 	job1, job2 *mapreduce.JobStats
 }
 
+// groupJob is the shape of both simulator jobs: values are groups keyed
+// by an int (gid in job 1, merge task in job 2), and every record
+// count is kept in rows, not group fragments.
+func groupJob[I any](name string, rows func(I) int, reducers, dims int, tally *metrics.Tally) mapreduce.Job[I, int, plan.Group, plan.Group] {
+	return mapreduce.Job[I, int, plan.Group, plan.Group]{
+		Name:      name,
+		Partition: func(key, n int) int { return key % n },
+		Reducers:  reducers,
+		// A group ships its rows and their Z-addresses once, plus its key.
+		SizeOf: func(_ int, g plan.Group) int {
+			return 8 + g.Len()*8*dims + len(g.ZCol.Data)*8
+		},
+		InputRows:  rows,
+		ValueRows:  plan.Group.Len,
+		OutputRows: plan.Group.Len,
+		Tally:      tally,
+	}
+}
+
 // MapReduce runs MapReduce job 1 (Algorithm 3) and returns the
-// candidate groups in deterministic gid order. The simulator is
-// record-oriented, so the input blocks are flattened to zero-copy row
-// views at the boundary.
+// candidate groups in deterministic gid order. Each row-range chunk is
+// one map task running r.MapBlock — SZB filter, routing, and the
+// chunk-local skyline as combiner — and each reducer shuffles its
+// group's fragments together and runs r.LocalSkylineGroup.
 func (ex *mrExec) MapReduce(ctx context.Context, r *plan.Rule, chunks []point.Block, tally *metrics.Tally) ([]plan.Group, int64, error) {
-	var n int
-	for _, b := range chunks {
-		n += b.Len()
+	// Per-task drop counts are stored, not added, so a speculative
+	// duplicate of a map task cannot count its drops twice.
+	filtered := make([]atomic.Int64, len(chunks))
+	splits := make([][]point.Block, len(chunks))
+	for i := range chunks {
+		splits[i] = chunks[i : i+1 : i+1]
 	}
-	pts := make([]point.Point, 0, n)
-	for _, b := range chunks {
-		pts = b.AppendPoints(pts)
+	job := groupJob("skyline-candidates", point.Block.Len, r.Groups(), ex.dims, tally)
+	job.Map = func(tc *mapreduce.TaskContext, chunk point.Block, emit func(int, plan.Group)) error {
+		out := r.MapBlock(chunk, tally)
+		filtered[tc.Task].Store(out.Filtered)
+		for _, g := range out.Groups {
+			emit(g.Gid, g)
+		}
+		return nil
 	}
-	var filtered metrics.Tally
-	dims := ex.dims
-	// The simulator calls Map once per record from concurrent tasks;
-	// pooling Routers keeps the per-point route (grid quantization,
-	// SZB probe, Z-encode) allocation-free instead of paying
-	// Rule.Route's per-call scratch.
-	routers := sync.Pool{New: func() any { return r.NewRouter() }}
-	job := mapreduce.Job[point.Point, int, point.Point, candidate]{
-		Name: "skyline-candidates",
-		Map: func(_ *mapreduce.TaskContext, p point.Point, emit func(int, point.Point)) error {
-			rt := routers.Get().(*plan.Router)
-			gid, ok := rt.Route(p)
-			routers.Put(rt)
-			if !ok {
-				filtered.AddPointsPruned(1)
-				return nil
-			}
-			emit(gid, p)
-			return nil
-		},
-		Combine: func(_ *mapreduce.TaskContext, _ int, vals []point.Point) []point.Point {
-			return r.LocalSkyline(vals, tally)
-		},
-		Reduce: func(_ *mapreduce.TaskContext, gid int, vals []point.Point, emit func(candidate)) error {
-			for _, p := range r.LocalSkyline(vals, tally) {
-				emit(candidate{gid: gid, p: p})
-			}
-			return nil
-		},
-		Partition: func(gid, n int) int { return gid % n },
-		Reducers:  r.Groups(),
-		SizeOf:    func(_ int, _ point.Point) int { return 8*dims + 8 },
-		Tally:     tally,
+	job.Reduce = func(_ *mapreduce.TaskContext, _ int, frags []plan.Group, emit func(plan.Group)) error {
+		groups, _ := plan.Shuffle([]plan.MapOutput{{Groups: frags}})
+		for _, g := range groups {
+			emit(r.LocalSkylineGroup(g, tally))
+		}
+		return nil
 	}
 	start := time.Now()
-	out, stats, err := mapreduce.Run(ctx, ex.cluster, job, mapreduce.SplitSlice(pts, ex.splits))
+	groups, stats, err := mapreduce.Run(ctx, ex.cluster, job, splits)
 	if err != nil {
 		return nil, 0, err
 	}
 	ex.job1 = stats
-	dropped := filtered.Snapshot().PointsPruned
-	tally.AddPointsPruned(dropped)
+	var dropped int64
+	for i := range filtered {
+		dropped += filtered[i].Load()
+	}
 
 	// The simulator fuses phase 2 into one job; reconstruct the
 	// taxonomy's map and local-skyline spans from the job's phase walls
 	// (the MapReducer observability contract).
 	if sp := obs.SpanFrom(ctx); sp != nil {
+		candidates := 0
+		for _, g := range groups {
+			candidates += g.Len()
+		}
 		mapSp := sp.ChildAt("map", start, stats.MapWall)
 		mapSp.SetAttr("tasks", len(stats.MapStats))
 		mapSp.SetAttr("filtered", dropped)
@@ -106,100 +104,66 @@ func (ex *mrExec) MapReduce(ctx context.Context, r *plan.Rule, chunks []point.Bl
 		mapSp.SetAttr("shuffle_bytes", stats.ShuffleBytes)
 		redSp := sp.ChildAt("local-skyline", start.Add(stats.MapWall), stats.ReduceWall)
 		redSp.SetAttr("groups", len(stats.ReduceStats))
-		redSp.SetAttr("candidates", len(out))
+		redSp.SetAttr("candidates", candidates)
 		redSp.SetAttr("fused", "simulator")
 		redSp.SetAttr("reduce_balance", stats.ReduceInputBalance().String())
 	}
-
-	// Regroup the reducer output (already in deterministic reducer /
-	// first-seen order) into per-group candidate blocks.
-	byGroup := map[int]*point.BlockBuilder{}
-	var order []int
-	for _, c := range out {
-		bb, seen := byGroup[c.gid]
-		if !seen {
-			bb = point.NewBlockBuilder(dims, 0)
-			byGroup[c.gid] = bb
-			order = append(order, c.gid)
-		}
-		bb.Append(c.p)
-	}
-	groups := make([]plan.Group, len(order))
-	for i, gid := range order {
-		groups[i] = plan.Group{Gid: gid, Block: byGroup[gid].Build()}
-	}
+	// Reducer r holds gid r, so the output is already in gid order.
 	return groups, dropped, nil
 }
 
+// taskGroup is a job-2 input record: one candidate group tagged with
+// the merge task it belongs to.
+type taskGroup struct {
+	task int
+	g    plan.Group
+}
+
+func (tg taskGroup) rows() int { return tg.g.Len() }
+
 // RunMerges runs MapReduce job 2 (§5.3): every merge task becomes one
-// reducer, and each reducer Z-merges (or recomputes) its groups.
+// reducer, and each reducer runs r.MergeGroupsZ over its groups. The
+// merged groups keep their Z-address columns, so tree-merge rounds
+// reuse every address. Each call is one round; the rounds' statistics
+// accumulate into one skyline-merge job.
 func (ex *mrExec) RunMerges(ctx context.Context, r *plan.Rule, tasks [][]plan.Group, tally *metrics.Tally) ([]plan.Group, error) {
-	var recs []mergeRec
+	var recs []taskGroup
+	outs := make([]plan.Group, len(tasks))
 	for t, groups := range tasks {
+		outs[t] = plan.Group{Gid: t, Block: point.Block{Dims: ex.dims}}
 		for _, g := range groups {
-			rows := g.Block.Len()
-			for i := 0; i < rows; i++ {
-				recs = append(recs, mergeRec{task: t, gid: g.Gid, p: g.Block.Row(i)})
-			}
+			recs = append(recs, taskGroup{task: t, g: g})
 		}
 	}
-	outs := make([]plan.Group, len(tasks))
 	if len(recs) == 0 {
-		ex.job2 = &mapreduce.JobStats{Name: "skyline-merge"}
 		return outs, nil
 	}
-	dims := ex.dims
-	job := mapreduce.Job[mergeRec, int, mergeRec, mergeRec]{
-		Name: "skyline-merge",
-		Map: func(_ *mapreduce.TaskContext, rec mergeRec, emit func(int, mergeRec)) error {
-			emit(rec.task, rec)
-			return nil
-		},
-		Reduce: func(_ *mapreduce.TaskContext, task int, vals []mergeRec, emit func(mergeRec)) error {
-			byGroup := map[int]*point.BlockBuilder{}
-			var order []int
-			for _, rec := range vals {
-				bb, seen := byGroup[rec.gid]
-				if !seen {
-					bb = point.NewBlockBuilder(dims, 0)
-					byGroup[rec.gid] = bb
-					order = append(order, rec.gid)
-				}
-				bb.Append(rec.p)
-			}
-			groups := make([]plan.Group, len(order))
-			for i, gid := range order {
-				groups[i] = plan.Group{Gid: gid, Block: byGroup[gid].Build()}
-			}
-			for _, p := range r.MergeGroups(groups, tally) {
-				emit(mergeRec{task: task, p: p})
-			}
-			return nil
-		},
-		Partition: func(task, n int) int { return task % n },
-		Reducers:  len(tasks),
-		SizeOf:    func(_ int, _ mergeRec) int { return 8*dims + 16 },
-		Tally:     tally,
+	job := groupJob("skyline-merge", taskGroup.rows, len(tasks), ex.dims, tally)
+	job.Map = func(_ *mapreduce.TaskContext, tg taskGroup, emit func(int, plan.Group)) error {
+		emit(tg.task, tg.g)
+		return nil
 	}
-	out, stats, err := mapreduce.Run(ctx, ex.cluster, job, mapreduce.SplitSlice(recs, ex.splits))
+	job.Reduce = func(_ *mapreduce.TaskContext, task int, groups []plan.Group, emit func(plan.Group)) error {
+		out := r.MergeGroupsZ(groups, tally)
+		out.Gid = task
+		emit(out)
+		return nil
+	}
+	merged, stats, err := mapreduce.Run(ctx, ex.cluster, job, mapreduce.SplitSlice(recs, ex.splits))
 	if err != nil {
 		return nil, err
 	}
-	ex.job2 = stats
+	if ex.job2 == nil {
+		ex.job2 = stats
+	} else {
+		ex.job2.Merge(stats)
+	}
 	if sp := obs.SpanFrom(ctx); sp != nil {
 		sp.SetAttr("fused", "simulator")
 		sp.SetAttr("shuffle_bytes", stats.ShuffleBytes)
 	}
-	perTask := make([][]point.Point, len(tasks))
-	for _, rec := range out {
-		perTask[rec.task] = append(perTask[rec.task], rec.p)
-	}
-	// The simulator shuffles records, not columns, so the merged
-	// groups come back without a Z-address column; tree-merge rounds
-	// re-encode at the (small) merge output. Executors that keep the
-	// column (LocalExec, dist) avoid that.
-	for t, pts := range perTask {
-		outs[t] = plan.Group{Gid: t, Block: point.BlockOf(dims, pts)}
+	for _, g := range merged {
+		outs[g.Gid] = g
 	}
 	return outs, nil
 }

@@ -157,6 +157,19 @@ func (s *JobStats) MapDurations() []time.Duration {
 	return out
 }
 
+// Merge folds o, a later run of the same logical job, into s: task
+// stats append in run order, and counters and walls add up. Executors
+// that run one job as several rounds (a tree merge) report it so.
+func (s *JobStats) Merge(o *JobStats) {
+	s.MapStats = append(s.MapStats, o.MapStats...)
+	s.ReduceStats = append(s.ReduceStats, o.ReduceStats...)
+	s.ShuffleBytes += o.ShuffleBytes
+	s.MapOutRecords += o.MapOutRecords
+	s.Wall += o.Wall
+	s.MapWall += o.MapWall
+	s.ReduceWall += o.ReduceWall
+}
+
 // ReduceInputBalance summarizes reduce input sizes, the straggler
 // signal the experiments report.
 func (s *JobStats) ReduceInputBalance() metrics.Balance {
@@ -187,6 +200,14 @@ type Job[I any, K comparable, V any, O any] struct {
 	// SizeOf estimates the wire size of one pair for shuffle-byte
 	// accounting. Nil selects a flat 16 bytes per record.
 	SizeOf func(key K, val V) int
+	// InputRows, ValueRows and OutputRows count the logical records
+	// (rows) one input record, intermediate value or output carries,
+	// for jobs that move batches of rows instead of single rows. Task
+	// record counts, MapOutRecords and the tally's RecordsEmitted are
+	// then measured in rows. Nil counts each as one record.
+	InputRows  func(I) int
+	ValueRows  func(V) int
+	OutputRows func(O) int
 	// Cache is broadcast read-only to every task.
 	Cache map[string]any
 	// Tally receives metric increments from all tasks; may be nil.
@@ -493,7 +514,7 @@ func mapAttempt[I any, K comparable, V any, O any](
 		}
 		for _, v := range vals {
 			out[r].add(k, v)
-			outRecords++
+			outRecords += rowsOf(job.ValueRows, v)
 		}
 	}
 	job.Tally.AddRecordsEmitted(int64(outRecords))
@@ -511,7 +532,7 @@ func mapAttempt[I any, K comparable, V any, O any](
 	c.simulateIO(emittedBytes)
 	dur := c.stretch(worker, time.Since(begin))
 	return TaskStat{Kind: MapTask, Task: task, Worker: worker, Attempts: attempt,
-		Duration: dur, InputRecords: len(split), OutputRecords: outRecords}, out, nil
+		Duration: dur, InputRecords: sumRows(job.InputRows, split), OutputRecords: outRecords}, out, nil
 }
 
 func runReduceTask[I any, K comparable, V any, O any](
@@ -564,14 +585,34 @@ func reduceAttempt[I any, K comparable, V any, O any](
 	inRecords := 0
 	for _, k := range merged.keys {
 		vals := merged.vals[k]
-		inRecords += len(vals)
+		inRecords += sumRows(job.ValueRows, vals)
 		if err := job.Reduce(tctx, k, vals, emit); err != nil {
 			return TaskStat{}, nil, err
 		}
 	}
 	dur := c.stretch(worker, time.Since(begin))
 	return TaskStat{Kind: ReduceTask, Task: task, Worker: worker, Attempts: attempt,
-		Duration: dur, InputRecords: inRecords, OutputRecords: len(out)}, out, nil
+		Duration: dur, InputRecords: inRecords, OutputRecords: sumRows(job.OutputRows, out)}, out, nil
+}
+
+// rowsOf counts the rows v carries under f (one when f is nil).
+func rowsOf[T any](f func(T) int, v T) int {
+	if f == nil {
+		return 1
+	}
+	return f(v)
+}
+
+// sumRows counts the rows of vs under f.
+func sumRows[T any](f func(T) int, vs []T) int {
+	if f == nil {
+		return len(vs)
+	}
+	n := 0
+	for _, v := range vs {
+		n += f(v)
+	}
+	return n
 }
 
 // SplitSlice cuts input into n near-equal contiguous splits (at least

@@ -46,9 +46,9 @@ type Executor interface {
 // MapReducer is an optional Executor refinement for substrates with a
 // native shuffle (the MapReduce simulator): one fused call replaces
 // RunMaps + Shuffle + RunReduces for phase 2, so the substrate keeps
-// its own combiner and shuffle accounting. Groups must come back in
-// deterministic order with their candidate points; filtered is the
-// mapper-side drop count.
+// its own shuffle accounting. chunks are the same row-range chunks
+// RunMaps would receive. Groups must come back in deterministic order
+// with their candidate points; filtered is the mapper-side drop count.
 //
 // Observability contract: because the fused call bypasses runPhase2's
 // span emission, implementations must attach the taxonomy's "map" and

@@ -197,8 +197,8 @@ func (r *Rule) withUnitLocalEncoder() (*Rule, error) {
 }
 
 // NewLocalRule builds a routing-less rule over enc for substrates that
-// shard positionally (the shared-memory executor): only LocalSkyline
-// and MergeGroups are meaningful on it.
+// shard positionally (the shared-memory executor): only the local
+// skyline and merge kernels are meaningful on it.
 func NewLocalRule(enc *zorder.Encoder, fanout int, local LocalAlgo, merge MergeAlgo) *Rule {
 	return NewLocalRuleUnder(nil, enc, fanout, local, merge)
 }
@@ -247,13 +247,18 @@ func (r *Rule) pareto() bool { return dominance.IsPareto(r.prov) }
 
 // Route maps a point to its group; ok is false when the point is
 // dropped (SZB-tree filtered, or routed to a pruned partition). This
-// is the one-shot entry point; per-point loops should hold a Router,
-// which reuses its quantization scratch across calls.
+// is the one-point entry point; MapBlock routes whole blocks with one
+// reused scratch pair.
 func (r *Rule) Route(p point.Point) (gid int, ok bool) {
 	if r.assignFn != nil {
 		return r.assignFn(p)
 	}
-	return r.NewRouter().Route(p)
+	g := r.enc.Grid(p)
+	if r.szb != nil && !r.filterOff && r.szb.DominatesPoint(g, p) {
+		return 0, false
+	}
+	gid, ok = r.groupOf[r.partitionOf(r.enc.EncodeGrid(g))]
+	return gid, ok
 }
 
 // RouteEntry routes an already-encoded ZB-tree entry — for mappers
@@ -265,48 +270,6 @@ func (r *Rule) RouteEntry(e zbtree.Entry) (gid int, ok bool) {
 	gid, ok = r.groupOf[r.partitionOf(e.Z)]
 	return gid, ok
 }
-
-// Router is per-task routing state: one grid/Z-address scratch pair
-// reused across every point the task routes, so a record-oriented
-// mapper pays zero allocations per point. A Rule is shared and
-// immutable after Learn, so the scratch cannot live on it — each
-// goroutine takes its own Router.
-type Router struct {
-	r *Rule
-	g []uint32
-	z zorder.ZAddr
-}
-
-// NewRouter builds a Router over r.
-func (r *Rule) NewRouter() *Router {
-	rt := &Router{r: r}
-	if r.assignFn == nil {
-		rt.g = make([]uint32, r.enc.Dims())
-		rt.z = make(zorder.ZAddr, r.enc.Words())
-	}
-	return rt
-}
-
-// Route maps a point to its group without allocating; ok is false when
-// the point is dropped. After a Z-routed accept, Z returns the
-// encoded address until the next call.
-func (rt *Router) Route(p point.Point) (gid int, ok bool) {
-	r := rt.r
-	if r.assignFn != nil {
-		return r.assignFn(p)
-	}
-	r.enc.GridInto(rt.g, p)
-	if r.szb != nil && !r.filterOff && r.szb.DominatesPoint(rt.g, p) {
-		return 0, false
-	}
-	r.enc.EncodeGridInto(rt.z, rt.g)
-	gid, ok = r.groupOf[r.partitionOf(rt.z)]
-	return gid, ok
-}
-
-// Z returns the Z-address of the last point Route accepted on the
-// Z-order path (a view of the router's scratch — copy to keep it).
-func (rt *Router) Z() zorder.ZAddr { return rt.z }
 
 // partitionOf binary-searches the Z-address into its partition
 // (Algorithm 3's searchPT step).
@@ -324,8 +287,8 @@ func (r *Rule) partitionOf(a zorder.ZAddr) int {
 }
 
 // LocalSkyline computes one group's skyline with the configured local
-// algorithm (phase 2's combine/reduce) — the slice adapter over the
-// block-native kernels.
+// algorithm — the slice adapter over the block-native kernels that
+// MapChunk's pointer-per-point path uses.
 func (r *Rule) LocalSkyline(pts []point.Point, tally *metrics.Tally) []point.Point {
 	dims := r.dims
 	if dims == 0 && len(pts) > 0 {
@@ -333,13 +296,6 @@ func (r *Rule) LocalSkyline(pts []point.Point, tally *metrics.Tally) []point.Poi
 	}
 	g := r.localSkylineGroup(Group{Block: point.BlockOf(dims, pts)}, tally, false)
 	return g.Block.Points()
-}
-
-// LocalSkylineBlock computes one group's skyline over a block. The
-// survivors are compacted into a freshly owned block, so the result
-// never pins the (much larger) input block's backing array.
-func (r *Rule) LocalSkylineBlock(b point.Block, tally *metrics.Tally) point.Block {
-	return r.localSkylineGroup(Group{Block: b}, tally, false).Block
 }
 
 // LocalSkylineGroup is phase 2's reduce on the encode-once path: it
@@ -494,19 +450,6 @@ func (r *Rule) MapBlock(b point.Block, tally *metrics.Tally) MapOutput {
 		out.Groups[i] = r.LocalSkylineGroup(in, tally)
 	}
 	return out
-}
-
-// MergeGroups is one phase-3 merge task over candidate groups, in the
-// given order: Z-merge one ZB-tree per group (Algorithm 4), or the
-// ZS / SB recompute baselines. Slice adapter over MergeGroupsZ.
-func (r *Rule) MergeGroups(groups []Group, tally *metrics.Tally) []point.Point {
-	return r.MergeGroupsZ(groups, tally).Block.Points()
-}
-
-// MergeGroupsBlock is MergeGroups with the merged skyline compacted
-// into an owned block.
-func (r *Rule) MergeGroupsBlock(groups []Group, tally *metrics.Tally) point.Block {
-	return r.MergeGroupsZ(groups, tally).Block
 }
 
 // MergeGroupsZ is one phase-3 merge task on the encode-once path. For

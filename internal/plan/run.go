@@ -218,10 +218,10 @@ func ingest(src point.Source, spec *Spec) (blocks []point.Block, mins, maxs []fl
 // fused MapReducer is responsible for emitting them itself (see the
 // interface contract).
 func runPhase2(ctx context.Context, spec *Spec, r *Rule, blocks []point.Block, ex Executor, tally *metrics.Tally) ([]Group, int64, error) {
-	if mr, ok := ex.(MapReducer); ok {
-		return mr.MapReduce(ctx, r, blocks, tally)
-	}
 	chunks := spec.chunkBlocks(blocks)
+	if mr, ok := ex.(MapReducer); ok {
+		return mr.MapReduce(ctx, r, chunks, tally)
+	}
 	mapSpan, mctx := obs.StartSpan(ctx, "map")
 	mapSpan.SetAttr("tasks", len(chunks))
 	outs, err := ex.RunMaps(mctx, r, chunks, tally)

@@ -18,9 +18,17 @@ import (
 // by coordinate sum, then one filtering pass with an append-only
 // window of survivor rows.
 func SBBlock(b point.Block, tally *metrics.Tally) point.Block {
+	return compactRows(b, SBRows(b, tally))
+}
+
+// SBRows is SBBlock's row-index result: the indices of b's skyline
+// rows, in ascending coordinate-sum order. Callers that must map the
+// skyline back to their own rows use it instead of matching
+// coordinates.
+func SBRows(b point.Block, tally *metrics.Tally) []int32 {
 	n := b.Len()
 	if n == 0 {
-		return point.Block{Dims: b.Dims}
+		return nil
 	}
 	sums := make([]float64, n)
 	perm := make([]int32, n)
@@ -46,7 +54,7 @@ func SBBlock(b point.Block, tally *metrics.Tally) point.Block {
 		}
 	}
 	tally.AddDominanceTests(tests)
-	return compactRows(b, window)
+	return window
 }
 
 // BNLBlock is BNL over a block: the window holds row indices and is

@@ -397,15 +397,15 @@ func (e *Engine) resolvePrefs(prefer []preferTerm) ([]prefCol, string, error) {
 }
 
 // queryRows computes the preference skyline over the retained relation
-// and maps it back to row indices (ingest order; duplicates consume
-// matching rows), sorted ascending.
+// and returns the indices (ingest order) of the rows whose projection
+// is on it, sorted ascending. Rows with equal projections are all
+// returned; rows are identified by index, never by printed value.
 func queryRows(data point.Block, cols []prefCol) []int {
 	n := data.Len()
-	proj := make([]point.Point, n)
-	flat := make([]float64, n*len(cols))
+	proj := point.Block{Dims: len(cols), Data: make([]float64, n*len(cols))}
 	for i := 0; i < n; i++ {
 		row := data.Row(i)
-		p := flat[i*len(cols) : (i+1)*len(cols) : (i+1)*len(cols)]
+		p := proj.Row(i)
 		for k, c := range cols {
 			v := row[c.idx]
 			if c.negate {
@@ -413,20 +413,12 @@ func queryRows(data point.Block, cols []prefCol) []int {
 			}
 			p[k] = v
 		}
-		proj[i] = p
 	}
-	sky := seq.SB(proj, nil)
-	byKey := map[string][]int{}
-	for i, p := range proj {
-		byKey[p.String()] = append(byKey[p.String()], i)
-	}
+	// Projection row i is data row i, so the skyline's row indices are
+	// the answer as they stand.
 	var rows []int
-	for _, p := range sky {
-		k := p.String()
-		if ids := byKey[k]; len(ids) > 0 {
-			rows = append(rows, ids[0])
-			byKey[k] = ids[1:]
-		}
+	for _, r := range seq.SBRows(proj, nil) {
+		rows = append(rows, int(r))
 	}
 	sort.Ints(rows)
 	return rows

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -208,6 +209,49 @@ func TestQueryEndpoint(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("bad request %v got status %d", bad, resp.StatusCode)
 		}
+	}
+}
+
+// Two rows whose projections agree to six significant digits are still
+// different rows: /query must answer the dominating one, never the
+// dominated one, in either preference direction.
+func TestQueryNearTieRows(t *testing.T) {
+	pts := []point.Point{
+		{0.12345604, 0.5, 0.12345601}, // dominated by row 1 under both orders
+		{0.12345601, 0.5, 0.12345604},
+		{0.9, 0.25, 0},
+	}
+	data := point.BlockOf(3, pts)
+	for _, tc := range []struct {
+		cols []prefCol
+		want []int
+	}{
+		{[]prefCol{{idx: 0}, {idx: 1}}, []int{1, 2}},
+		{[]prefCol{{idx: 0}, {idx: 2, negate: true}}, []int{1}},
+	} {
+		if got := queryRows(data, tc.cols); fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Errorf("queryRows(%v) = %v, want %v", tc.cols, got, tc.want)
+		}
+	}
+
+	ds, err := point.NewDataset(3, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New([]string{"a", "b", "c"}, ds, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	resp, out := postJSON(t, ts.URL+"/query", map[string]any{
+		"prefer": []map[string]string{{"attr": "a", "dir": "min"}, {"attr": "b", "dir": "min"}},
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %v", resp.StatusCode, out)
+	}
+	if got := fmt.Sprint(out["rows"]); got != "[1 2]" {
+		t.Errorf("/query rows %s, want [1 2]", got)
 	}
 }
 

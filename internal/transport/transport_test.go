@@ -313,13 +313,14 @@ func TestUnmarshalableReply(t *testing.T) {
 // TestObserveExactSizes checks the server-side observe hook reports
 // header+payload sizes that match what the client measured.
 func TestObserveExactSizes(t *testing.T) {
-	var mu sync.Mutex
 	type obsRec struct{ req, resp int64 }
-	seen := map[uint16]obsRec{}
+	// The server observes a call after writing its reply, so the reply
+	// can reach the client first: the test waits for the observation.
+	observed := make(chan obsRec, 1)
 	opts := ServeOptions{Observe: func(m uint16, _ time.Duration, req, resp int64) {
-		mu.Lock()
-		seen[m] = obsRec{req, resp}
-		mu.Unlock()
+		if m == 11 {
+			observed <- obsRec{req, resp}
+		}
 	}}
 	addr, stop := startServer(t, &testHandler{}, opts)
 	defer stop()
@@ -330,9 +331,12 @@ func TestObserveExactSizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mu.Lock()
-	rec := seen[11]
-	mu.Unlock()
+	var rec obsRec
+	select {
+	case rec = <-observed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("server never observed the call")
+	}
 	if rec.req != req || rec.resp != resp {
 		t.Fatalf("server observed req=%d resp=%d, client measured req=%d resp=%d",
 			rec.req, rec.resp, req, resp)

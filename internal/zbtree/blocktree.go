@@ -10,7 +10,7 @@ import (
 )
 
 // Store is the shared columnar backing of a BlockTree: the flat point
-// block, its Z-address column, and the decoded grid coordinates, all
+// block, its Z-address column, and the grid coordinates, all
 // stride-indexed by row. Trees built over the same Store reference rows
 // by index instead of owning Entry copies, which is what lets the
 // pipeline encode each point's Z-address exactly once per query and
@@ -19,7 +19,7 @@ type Store struct {
 	enc  *zorder.Encoder
 	blk  point.Block
 	zc   zorder.ZCol
-	grid []uint32 // Dims() stride per row, decoded once at store build
+	grid []uint32 // Dims() stride per row, quantized once at store build
 }
 
 // NewStore encodes b's rows into a fresh Z-address column and grid
@@ -32,9 +32,10 @@ func NewStore(enc *zorder.Encoder, b point.Block) *Store {
 
 // NewStoreWithZCol builds a Store over a block whose Z-addresses were
 // already encoded upstream (the encode-once path). The grid arena is
-// recovered by de-interleaving zc — a pure bit operation, so the store
-// is exactly what NewStore would have produced from the same encoder.
-// zc must have one enc-encoded address per row of b.
+// re-quantized from the rows, not de-interleaved from zc: zc must hold
+// one enc-encoded address per row of b, so row i's grid is exactly the
+// one zc.At(i) was interleaved from, and the store is what NewStore
+// would have produced from the same encoder.
 func NewStoreWithZCol(enc *zorder.Encoder, b point.Block, zc zorder.ZCol) *Store {
 	if zc.Len() != b.Len() || zc.Words != enc.Words() {
 		panic(fmt.Sprintf("zbtree: zcol shape %d×%d does not match block %d rows under a %d-word encoder",
@@ -44,7 +45,7 @@ func NewStoreWithZCol(enc *zorder.Encoder, b point.Block, zc zorder.ZCol) *Store
 	d := enc.Dims()
 	st.grid = make([]uint32, b.Len()*d)
 	for i := 0; i < b.Len(); i++ {
-		enc.DecodeGridInto(st.grid[i*d:(i+1)*d], zc.At(i))
+		enc.GridInto(st.grid[i*d:(i+1)*d], b.Row(i))
 	}
 	return st
 }
@@ -104,7 +105,9 @@ func (n *bnode) isLeaf() bool { return n.kids == nil }
 // per-point ZAddr/grid clones anywhere. Structure and pruning mirror
 // Tree exactly — same RZ-regions, same conservative grid tests, same
 // stale-region-after-delete strategy — so the two implementations are
-// interchangeable oracles for one another.
+// interchangeable oracles for one another. A BlockTree is not safe for
+// concurrent use, queries included: walks buffer their tally counts in
+// the tree.
 type BlockTree struct {
 	st     *Store
 	fanout int
@@ -112,8 +115,23 @@ type BlockTree struct {
 	nodes  []bnode
 	// Region corner arenas, Dims() stride per node id.
 	regMin, regMax []uint32
-	scratch        zorder.ZAddr // RegionInto scratch, Words() wide
-	root           int32        // -1 when empty
+	root           int32 // -1 when empty
+	// Tally increments not yet flushed. The walks count here and each
+	// exported operation flushes once, so tasks sharing one Tally do not
+	// contend on its atomics at every node they visit.
+	regionTests, dominanceTests int64
+}
+
+// flush moves the buffered test counts into the tally.
+func (t *BlockTree) flush() {
+	if t.regionTests != 0 {
+		t.tally.AddRegionTests(t.regionTests)
+		t.regionTests = 0
+	}
+	if t.dominanceTests != 0 {
+		t.tally.AddDominanceTests(t.dominanceTests)
+		t.dominanceTests = 0
+	}
 }
 
 // NewBlockTree returns an empty tree over st. fanout <= 0 selects
@@ -125,8 +143,7 @@ func NewBlockTree(st *Store, fanout int, tally *metrics.Tally) *BlockTree {
 	if fanout < 2 {
 		fanout = 2
 	}
-	return &BlockTree{st: st, fanout: fanout, tally: tally,
-		scratch: make(zorder.ZAddr, st.enc.Words()), root: -1}
+	return &BlockTree{st: st, fanout: fanout, tally: tally, root: -1}
 }
 
 // newNode appends a zeroed node to the slab and grows the region
@@ -150,11 +167,13 @@ func (t *BlockTree) region(n int32) zorder.Region {
 	return zorder.Region{MinG: t.regMin[lo : lo+d : lo+d], MaxG: t.regMax[lo : lo+d : lo+d]}
 }
 
-// setRegion recomputes node n's RZ-region from the Z-addresses of rows
-// a and b, writing straight into the arenas.
+// setRegion recomputes node n's RZ-region spanning rows a <= b, writing
+// straight into the arenas: row a's stored grid masked to the rows'
+// common Z-prefix, so no address is decoded.
 func (t *BlockTree) setRegion(n, a, b int32) {
 	r := t.region(n)
-	t.st.enc.RegionInto(r.MinG, r.MaxG, t.scratch, t.st.Z(a), t.st.Z(b))
+	cpl := zorder.CommonPrefixLen(t.st.Z(a), t.st.Z(b), t.st.enc.TotalBits())
+	t.st.enc.RegionInto(r.MinG, r.MaxG, t.st.Grid(a), cpl)
 }
 
 // setPointRegion sets node n's region to the degenerate region of one
@@ -222,7 +241,10 @@ func BuildRows(st *Store, fanout int, rows []int32, tally *metrics.Tally) *Block
 	})
 	// Leaves: subslices of the sorted permutation arena.
 	nLeaves := (len(rows) + t.fanout - 1) / t.fanout
-	t.nodes = make([]bnode, 0, nLeaves+nLeaves/(t.fanout-1)+2)
+	nNodes := nLeaves + nLeaves/(t.fanout-1) + 2
+	t.nodes = make([]bnode, 0, nNodes)
+	t.regMin = make([]uint32, 0, nNodes*st.enc.Dims())
+	t.regMax = make([]uint32, 0, nNodes*st.enc.Dims())
 	level := make([]int32, 0, nLeaves)
 	for lo := 0; lo < len(rows); lo += t.fanout {
 		hi := lo + t.fanout
@@ -350,14 +372,16 @@ func (t *BlockTree) appendAt(n, row int32) int32 {
 // DominatesRow reports whether some stored row strictly dominates row
 // (exact float semantics; grid tests only prune).
 func (t *BlockTree) DominatesRow(row int32) bool {
-	return t.dominatesPoint(t.root, t.st.Grid(row), t.st.Row(row))
+	ok := t.dominatesPoint(t.root, t.st.Grid(row), t.st.Row(row))
+	t.flush()
+	return ok
 }
 
 func (t *BlockTree) dominatesPoint(n int32, g []uint32, p point.Point) bool {
 	if n < 0 {
 		return false
 	}
-	t.tally.AddRegionTests(1)
+	t.regionTests++
 	r := t.region(n)
 	if zorder.RegionCannotDominatePointGrid(r, g) {
 		return false
@@ -367,7 +391,7 @@ func (t *BlockTree) dominatesPoint(n int32, g []uint32, p point.Point) bool {
 	}
 	nd := &t.nodes[n]
 	if nd.isLeaf() {
-		t.tally.AddDominanceTests(int64(len(nd.rows)))
+		t.dominanceTests += int64(len(nd.rows))
 		for _, e := range nd.rows {
 			if point.Dominates(t.st.Row(e), p) {
 				return true
@@ -386,14 +410,16 @@ func (t *BlockTree) dominatesPoint(n int32, g []uint32, p point.Point) bool {
 // DominatesAllOfRegion reports whether some single stored row strictly
 // dominates every float point that could lie in region r.
 func (t *BlockTree) DominatesAllOfRegion(r zorder.Region) bool {
-	return t.dominatesRegion(t.root, r)
+	ok := t.dominatesRegion(t.root, r)
+	t.flush()
+	return ok
 }
 
 func (t *BlockTree) dominatesRegion(n int32, r zorder.Region) bool {
 	if n < 0 {
 		return false
 	}
-	t.tally.AddRegionTests(1)
+	t.regionTests++
 	nr := t.region(n)
 	if !zorder.GridStrictDominates(nr.MinG, r.MinG) {
 		return false
@@ -426,6 +452,7 @@ func (t *BlockTree) RemoveDominatedBy(row int32) int {
 		return 0
 	}
 	removed := t.removeDominated(t.root, t.st.Grid(row), t.st.Row(row))
+	t.flush()
 	if t.nodes[t.root].count == 0 {
 		t.root = -1
 	}
@@ -433,7 +460,7 @@ func (t *BlockTree) RemoveDominatedBy(row int32) int {
 }
 
 func (t *BlockTree) removeDominated(n int32, g []uint32, p point.Point) int {
-	t.tally.AddRegionTests(1)
+	t.regionTests++
 	if zorder.GridSomeGreater(g, t.region(n).MaxG) {
 		return 0
 	}
@@ -441,7 +468,7 @@ func (t *BlockTree) removeDominated(n int32, g []uint32, p point.Point) int {
 	if nd.isLeaf() {
 		kept := nd.rows[:0]
 		removed := 0
-		t.tally.AddDominanceTests(int64(len(nd.rows)))
+		t.dominanceTests += int64(len(nd.rows))
 		for _, e := range nd.rows {
 			if point.Dominates(p, t.st.Row(e)) {
 				removed++
@@ -508,7 +535,7 @@ func (t *BlockTree) incomparableWith(n int32, r zorder.Region, depth int) bool {
 	if n < 0 {
 		return false
 	}
-	t.tally.AddRegionTests(1)
+	t.regionTests++
 	if zorder.RegionsIncomparable(t.region(n), r) {
 		return true
 	}
@@ -565,6 +592,7 @@ func MergeBlock(sky, src *BlockTree) *BlockTree {
 			survivors = append(survivors, e)
 		}
 	}
+	sky.flush()
 	all := sky.Rows()
 	all = append(all, survivors...)
 	all = append(all, stash...)
@@ -600,8 +628,9 @@ func ZSearchGroup(enc *zorder.Encoder, fanout int, b point.Block, zc zorder.ZCol
 
 // BuildFromBlockZ builds a legacy Tree over a block whose Z-addresses
 // were already encoded (one address per row). Entries reference the
-// block's rows and the column's addresses zero-copy; only the decoded
-// grid coordinates are materialized, in one arena. This is the bridge
+// block's rows and the column's addresses zero-copy; only the grid
+// coordinates are materialized, in one arena, re-quantized from the
+// rows exactly as NewStoreWithZCol does. This is the bridge
 // for long-lived legacy-tree owners (incremental maintenance) to join
 // the encode-once path.
 func BuildFromBlockZ(enc *zorder.Encoder, fanout int, b point.Block, zc zorder.ZCol, tally *metrics.Tally) *Tree {
@@ -615,7 +644,7 @@ func BuildFromBlockZ(enc *zorder.Encoder, fanout int, b point.Block, zc zorder.Z
 	garena := make([]uint32, n*d)
 	for i := 0; i < n; i++ {
 		g := garena[i*d : (i+1)*d : (i+1)*d]
-		enc.DecodeGridInto(g, zc.At(i))
+		enc.GridInto(g, b.Row(i))
 		entries[i] = Entry{Z: zc.At(i), G: g, P: b.Row(i)}
 	}
 	return Build(enc, fanout, entries, tally)

@@ -153,25 +153,57 @@ func TestBuildFromBlockZ(t *testing.T) {
 	samePointSet(t, "skyline", tr.Skyline(), want.Skyline())
 }
 
-// NewStoreWithZCol must reproduce NewStore's grid arena exactly: the
-// decoded grids are a pure de-interleave of the shared addresses.
+// NewStoreWithZCol must reproduce NewStore exactly: same addresses,
+// and grids that are both the rows' quantization and what the shared
+// addresses encode. Rows outside the encoder's box (clamped) and
+// multi-word addresses are included.
 func TestStoreWithZColMatchesNewStore(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
-	b := genBlock(rng, "anti", 150, 5)
-	enc, err := zorder.NewUnitEncoder(5, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh := NewStore(enc, b)
-	reused := NewStoreWithZCol(enc, b, enc.EncodeBlock(zorder.ZCol{}, b))
-	for i := int32(0); i < int32(b.Len()); i++ {
-		if !zorder.Equal(fresh.Z(i), reused.Z(i)) {
-			t.Fatalf("row %d: z mismatch", i)
+	for _, shape := range []struct{ d, bits int }{{5, 11}, {8, 16}, {17, 16}, {3, 32}} {
+		b := genBlock(rng, "anti", 150, shape.d)
+		b.Row(0)[0], b.Row(1)[shape.d-1] = -0.5, 1.5
+		enc, err := zorder.NewUnitEncoder(shape.d, shape.bits)
+		if err != nil {
+			t.Fatal(err)
 		}
-		fg, rg := fresh.Grid(i), reused.Grid(i)
-		for k := range fg {
-			if fg[k] != rg[k] {
-				t.Fatalf("row %d dim %d: grid %d vs %d", i, k, fg[k], rg[k])
+		fresh := NewStore(enc, b)
+		reused := NewStoreWithZCol(enc, b, enc.EncodeBlock(zorder.ZCol{}, b))
+		for i := int32(0); i < int32(b.Len()); i++ {
+			if !zorder.Equal(fresh.Z(i), reused.Z(i)) {
+				t.Fatalf("%+v row %d: z mismatch", shape, i)
+			}
+			fg, rg, dg := fresh.Grid(i), reused.Grid(i), enc.DecodeGrid(reused.Z(i))
+			for k := range fg {
+				if fg[k] != rg[k] || rg[k] != dg[k] {
+					t.Fatalf("%+v row %d dim %d: grid %d vs %d, address encodes %d", shape, i, k, fg[k], rg[k], dg[k])
+				}
+			}
+		}
+	}
+}
+
+// Every node region a BlockTree masks from its boundary row's grid must
+// equal the region of its boundary addresses.
+func TestBlockTreeRegionsMatchAddresses(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	for _, d := range []int{2, 8, 17} {
+		b := genBlock(rng, "independent", 300, d)
+		enc, err := zorder.NewUnitEncoder(d, 12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := NewStore(enc, b)
+		bt := BuildStore(st, 4, nil)
+		for n := range bt.nodes {
+			nd := &bt.nodes[n]
+			lo, hi := st.Z(nd.minRow), st.Z(nd.maxRow)
+			want := enc.RegionOf(lo, hi)
+			got := bt.region(int32(n))
+			for k := 0; k < d; k++ {
+				if got.MinG[k] != want.MinG[k] || got.MaxG[k] != want.MaxG[k] {
+					t.Fatalf("d=%d node %d dim %d: region [%d,%d], want [%d,%d]",
+						d, n, k, got.MinG[k], got.MaxG[k], want.MinG[k], want.MaxG[k])
+				}
 			}
 		}
 	}

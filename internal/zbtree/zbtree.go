@@ -42,10 +42,13 @@ func NewEntry(enc *zorder.Encoder, p point.Point) Entry {
 
 type node struct {
 	minZ, maxZ zorder.ZAddr
-	region     zorder.Region
-	children   []*node
-	entries    []Entry
-	count      int
+	// minG is the grid of the entry at minZ: with the common prefix of
+	// minZ and maxZ it yields the region without decoding an address.
+	minG     []uint32
+	region   zorder.Region
+	children []*node
+	entries  []Entry
+	count    int
 }
 
 func (n *node) isLeaf() bool { return n.children == nil }
@@ -89,9 +92,9 @@ func Build(enc *zorder.Encoder, fanout int, entries []Entry, tally *metrics.Tall
 			hi = len(es)
 		}
 		leaf := &node{entries: es[lo:hi:hi], count: hi - lo}
-		leaf.minZ = leaf.entries[0].Z
+		leaf.minZ, leaf.minG = leaf.entries[0].Z, leaf.entries[0].G
 		leaf.maxZ = leaf.entries[len(leaf.entries)-1].Z
-		leaf.region = enc.RegionOf(leaf.minZ, leaf.maxZ)
+		leaf.region = regionOf(enc, leaf)
 		level = append(level, leaf)
 	}
 	// Internal levels.
@@ -107,9 +110,9 @@ func Build(enc *zorder.Encoder, fanout int, entries []Entry, tally *metrics.Tall
 			for _, c := range kids {
 				n.count += c.count
 			}
-			n.minZ = kids[0].minZ
+			n.minZ, n.minG = kids[0].minZ, kids[0].minG
 			n.maxZ = kids[len(kids)-1].maxZ
-			n.region = enc.RegionOf(n.minZ, n.maxZ)
+			n.region = regionOf(enc, n)
 			up = append(up, n)
 		}
 		level = up
@@ -186,8 +189,7 @@ func (t *Tree) Points() []point.Point {
 // of the index would invalidate every later dominance test.
 func (t *Tree) Append(e Entry) {
 	if t.root == nil {
-		t.root = &node{entries: []Entry{e}, count: 1, minZ: e.Z, maxZ: e.Z,
-			region: t.enc.RegionOfPoint(e.Z)}
+		t.root = leafOf(e)
 		return
 	}
 	if zorder.Compare(e.Z, t.root.maxZ) < 0 {
@@ -196,8 +198,8 @@ func (t *Tree) Append(e Entry) {
 	if up := t.appendAt(t.root, e); up != nil {
 		old := t.root
 		t.root = &node{children: []*node{old, up}, count: old.count + up.count,
-			minZ: old.minZ, maxZ: up.maxZ}
-		t.root.region = t.enc.RegionOf(t.root.minZ, t.root.maxZ)
+			minZ: old.minZ, minG: old.minG, maxZ: up.maxZ}
+		t.root.region = regionOf(t.enc, t.root)
 	}
 }
 
@@ -209,11 +211,10 @@ func (t *Tree) appendAt(n *node, e Entry) *node {
 			n.entries = append(n.entries, e)
 			n.count++
 			n.maxZ = e.Z
-			n.region = t.enc.RegionOf(n.minZ, n.maxZ)
+			n.region = regionOf(t.enc, n)
 			return nil
 		}
-		return &node{entries: []Entry{e}, count: 1, minZ: e.Z, maxZ: e.Z,
-			region: t.enc.RegionOfPoint(e.Z)}
+		return leafOf(e)
 	}
 	last := n.children[len(n.children)-1]
 	up := t.appendAt(last, e)
@@ -226,25 +227,52 @@ func (t *Tree) appendAt(n *node, e Entry) *node {
 	if up == nil {
 		n.count++
 		n.maxZ = e.Z
-		n.region = t.enc.RegionOf(n.minZ, n.maxZ)
+		n.region = regionOf(t.enc, n)
 		return nil
 	}
 	// n is full: push the new sibling up wrapped in a fresh node.
-	return &node{children: []*node{up}, count: up.count, minZ: up.minZ, maxZ: up.maxZ,
-		region: up.region}
+	return &node{children: []*node{up}, count: up.count, minZ: up.minZ, minG: up.minG,
+		maxZ: up.maxZ, region: up.region}
+}
+
+// leafOf is a one-entry leaf; its region is the entry's own cell.
+func leafOf(e Entry) *node {
+	return &node{entries: []Entry{e}, count: 1, minZ: e.Z, minG: e.G, maxZ: e.Z,
+		region: zorder.Region{MinG: e.G, MaxG: e.G}}
+}
+
+// regionOf computes n's RZ-region from its boundary addresses and the
+// grid of its minimum entry, into fresh storage: regions are replaced,
+// never mutated, so nodes may share one.
+func regionOf(enc *zorder.Encoder, n *node) zorder.Region {
+	d := enc.Dims()
+	buf := make([]uint32, 2*d)
+	cpl := zorder.CommonPrefixLen(n.minZ, n.maxZ, enc.TotalBits())
+	return enc.RegionInto(buf[:d:d], buf[d:], n.minG, cpl)
 }
 
 // DominatesPoint reports whether some point in the tree strictly
-// dominates p (exact float semantics; grid tests only prune).
+// dominates p (exact float semantics; grid tests only prune). The walk
+// counts its tests locally and adds them to the tally once per call:
+// the SZB filter probes one shared tree from every concurrent mapper.
 func (t *Tree) DominatesPoint(g []uint32, p point.Point) bool {
-	return t.dominatesPoint(t.root, g, p)
+	var c walkTests
+	ok := t.dominatesPoint(t.root, g, p, &c)
+	t.tally.AddRegionTests(c.region)
+	if c.dominance > 0 {
+		t.tally.AddDominanceTests(c.dominance)
+	}
+	return ok
 }
 
-func (t *Tree) dominatesPoint(n *node, g []uint32, p point.Point) bool {
+// walkTests counts one walk's region and dominance tests.
+type walkTests struct{ region, dominance int64 }
+
+func (t *Tree) dominatesPoint(n *node, g []uint32, p point.Point, c *walkTests) bool {
 	if n == nil {
 		return false
 	}
-	t.tally.AddRegionTests(1)
+	c.region++
 	if zorder.RegionCannotDominatePointGrid(n.region, g) {
 		return false
 	}
@@ -253,7 +281,7 @@ func (t *Tree) dominatesPoint(n *node, g []uint32, p point.Point) bool {
 		return true
 	}
 	if n.isLeaf() {
-		t.tally.AddDominanceTests(int64(len(n.entries)))
+		c.dominance += int64(len(n.entries))
 		for _, e := range n.entries {
 			if point.Dominates(e.P, p) {
 				return true
@@ -261,8 +289,8 @@ func (t *Tree) dominatesPoint(n *node, g []uint32, p point.Point) bool {
 		}
 		return false
 	}
-	for _, c := range n.children {
-		if t.dominatesPoint(c, g, p) {
+	for _, ch := range n.children {
+		if t.dominatesPoint(ch, g, p, c) {
 			return true
 		}
 	}

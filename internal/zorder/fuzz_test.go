@@ -5,24 +5,41 @@ import (
 	"testing"
 )
 
-// FuzzEncodeDecode: every grid coordinate vector must roundtrip, and
-// monotonicity must hold under arbitrary fuzz-chosen inputs.
+// fuzzDims maps a fuzz input onto 1..256 dimensions, past every
+// word-boundary case of the codec (d = 64, 65, 128, 225).
+func fuzzDims(raw uint16) int { return int(raw%256) + 1 }
+
+// fuzzGrids derives two grid vectors from two seeds.
+func fuzzGrids(e *Encoder, a, b uint32) (ga, gb []uint32) {
+	ga = make([]uint32, e.Dims())
+	gb = make([]uint32, e.Dims())
+	for i := range ga {
+		ga[i] = (a + uint32(i)*2654435761) & e.MaxGrid()
+		gb[i] = (b + uint32(i)*40503) & e.MaxGrid()
+	}
+	return ga, gb
+}
+
+// FuzzEncodeDecode: every grid coordinate vector must roundtrip with
+// exactly the reference bit layout, and monotonicity must hold under
+// arbitrary fuzz-chosen inputs.
 func FuzzEncodeDecode(f *testing.F) {
 	f.Add(uint16(3), uint16(7), uint32(5), uint32(9))
+	f.Add(uint16(64), uint16(15), uint32(0xdeadbeef), uint32(1))
+	f.Add(uint16(224), uint16(31), uint32(7), uint32(0xffffffff))
 	f.Fuzz(func(t *testing.T, dRaw, bitsRaw uint16, a, b uint32) {
-		dims := int(dRaw%12) + 1
+		dims := fuzzDims(dRaw)
 		bits := int(bitsRaw%MaxBits) + 1
 		enc, err := NewUnitEncoder(dims, bits)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ga := make([]uint32, dims)
-		gb := make([]uint32, dims)
-		for i := range ga {
-			ga[i] = (a + uint32(i)*2654435761) & enc.MaxGrid()
-			gb[i] = (b + uint32(i)*40503) & enc.MaxGrid()
+		ga, gb := fuzzGrids(enc, a, b)
+		za := enc.EncodeGrid(ga)
+		if want := refEncode(enc, ga); !Equal(za, want) {
+			t.Fatalf("encode %v = %s, reference %s", ga, za, want)
 		}
-		if got := enc.DecodeGrid(enc.EncodeGrid(ga)); !equalU32(got, ga) {
+		if got := enc.DecodeGrid(za); !equalU32(got, ga) {
 			t.Fatalf("roundtrip %v -> %v", ga, got)
 		}
 		// Monotonicity: componentwise min encodes <= both.
@@ -36,6 +53,45 @@ func FuzzEncodeDecode(f *testing.F) {
 		zlo := enc.EncodeGrid(lo)
 		if Compare(zlo, enc.EncodeGrid(ga)) > 0 || Compare(zlo, enc.EncodeGrid(gb)) > 0 {
 			t.Fatalf("monotonicity violated: lo=%v a=%v b=%v", lo, ga, gb)
+		}
+	})
+}
+
+// FuzzRegionFromGrid: the RZ-region masked from either boundary's grid
+// must equal the reference region built by padding the common prefix
+// of the two addresses and decoding.
+func FuzzRegionFromGrid(f *testing.F) {
+	f.Add(uint16(1), uint16(15), uint32(5), uint32(9), uint8(3))
+	f.Add(uint16(7), uint16(3), uint32(0), uint32(0), uint8(0))
+	f.Add(uint16(64), uint16(31), uint32(0x12345678), uint32(0x9abcdef0), uint8(200))
+	f.Fuzz(func(t *testing.T, dRaw, bitsRaw uint16, a, b uint32, keepRaw uint8) {
+		dims := fuzzDims(dRaw)
+		bits := int(bitsRaw%MaxBits) + 1
+		enc, err := NewUnitEncoder(dims, bits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ga, gb := fuzzGrids(enc, a, b)
+		// Share the top keep levels so long common prefixes occur.
+		if keep := int(keepRaw) % (bits + 1); keep > 0 {
+			free := uint32(uint64(1)<<uint(bits-keep) - 1)
+			for i := range gb {
+				gb[i] = ga[i]&^free | gb[i]&free
+			}
+		}
+		za, zb := enc.EncodeGrid(ga), enc.EncodeGrid(gb)
+		if Compare(za, zb) > 0 {
+			za, zb, ga, gb = zb, za, gb, ga
+		}
+		want := refRegion(enc, za, zb)
+		cpl := CommonPrefixLen(za, zb, enc.TotalBits())
+		minG, maxG := make([]uint32, dims), make([]uint32, dims)
+		for _, g := range [][]uint32{ga, gb} {
+			got := enc.RegionInto(minG, maxG, g, cpl)
+			if !equalU32(got.MinG, want.MinG) || !equalU32(got.MaxG, want.MaxG) {
+				t.Fatalf("cpl=%d grid %v: region %v/%v, reference %v/%v",
+					cpl, g, got.MinG, got.MaxG, want.MinG, want.MaxG)
+			}
 		}
 	})
 }

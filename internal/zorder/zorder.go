@@ -172,22 +172,44 @@ func (e *Encoder) EncodeGrid(g []uint32) ZAddr {
 }
 
 // EncodeGridInto interleaves g into z (which must have Words()
-// entries, and is zeroed first) and returns z — the allocation-free
-// variant for hot loops that reuse one scratch address.
+// entries) and returns z — the allocation-free variant for hot loops
+// that reuse one scratch address.
+//
+// Bits are emitted most-significant level first, dimension 0 first
+// within a level, into a 64-bit accumulator that is flushed one whole
+// word at a time; the unused tail of the last word is zero. The layout
+// is the one every stored address, wire frame, pivot and shard range
+// depends on, so it must never change.
 func (e *Encoder) EncodeGridInto(z ZAddr, g []uint32) ZAddr {
-	for i := range z {
-		z[i] = 0
-	}
-	pos := 0
+	g = g[:e.dims]
+	var acc uint64
+	n, w := 0, 0 // bits held in acc; next word of z to write
 	for level := e.bits - 1; level >= 0; level-- {
-		for d := 0; d < e.dims; d++ {
-			bit := (g[d] >> uint(level)) & 1
-			if bit != 0 {
-				z[pos/64] |= 1 << uint(63-pos%64)
+		for lo := 0; lo < len(g); lo += 64 {
+			hi := min(lo+64, len(g))
+			// chunk holds this level's bits of dims [lo,hi), dim lo first.
+			var chunk uint64
+			for _, c := range g[lo:hi] {
+				chunk = chunk<<1 | uint64(c>>uint(level)&1)
 			}
-			pos++
+			k := hi - lo
+			if free := 64 - n; k < free {
+				acc = acc<<uint(k) | chunk
+				n += k
+			} else {
+				// Fill the word, flush it, and carry the k-free low bits.
+				z[w] = acc<<uint(free) | chunk>>uint(k-free)
+				w++
+				n = k - free
+				acc = chunk & (1<<uint(n) - 1)
+			}
 		}
 	}
+	if n > 0 {
+		z[w] = acc << uint(64-n)
+		w++
+	}
+	clear(z[w:])
 	return z
 }
 
@@ -197,18 +219,38 @@ func (e *Encoder) DecodeGrid(z ZAddr) []uint32 {
 }
 
 // DecodeGridInto reverses EncodeGrid into g (which must have Dims()
-// entries) and returns g — the allocation-free variant.
+// entries) and returns g — the allocation-free variant. It reads z one
+// word at a time and shifts each level's bits into the coordinates;
+// no pipeline hot path decodes (grids travel with their rows, and
+// regions are masked from grids), so this serves cold callers and
+// tests.
 func (e *Encoder) DecodeGridInto(g []uint32, z ZAddr) []uint32 {
-	for i := range g {
-		g[i] = 0
-	}
-	pos := 0
-	for level := e.bits - 1; level >= 0; level-- {
-		for d := 0; d < e.dims; d++ {
-			if z[pos/64]&(1<<uint(63-pos%64)) != 0 {
-				g[d] |= 1 << uint(level)
+	g = g[:e.dims]
+	clear(g)
+	var cur uint64 // unread bits of the current word, left-aligned
+	avail, w := 0, 0
+	for level := 0; level < e.bits; level++ {
+		for lo := 0; lo < len(g); lo += 64 {
+			hi := min(lo+64, len(g))
+			k := hi - lo
+			// chunk: the next k bits of z, left-aligned.
+			var chunk uint64
+			if k <= avail {
+				chunk = cur
+				cur <<= uint(k)
+				avail -= k
+			} else {
+				need := k - avail
+				next := z[w]
+				w++
+				chunk = cur | next>>uint(avail)
+				cur = next << uint(need)
+				avail = 64 - need
 			}
-			pos++
+			for i := lo; i < hi; i++ {
+				g[i] = g[i]<<1 | uint32(chunk>>63)
+				chunk <<= 1
+			}
 		}
 	}
 	return g
@@ -281,50 +323,39 @@ type Region struct {
 
 // RegionOf computes the RZ-region spanned by two boundary addresses
 // alpha <= beta: the common prefix padded with zeros gives minpt, with
-// ones gives maxpt.
+// ones gives maxpt. It decodes alpha once; callers that hold a
+// boundary's grid use RegionInto instead and decode nothing.
 func (e *Encoder) RegionOf(alpha, beta ZAddr) Region {
-	return e.RegionInto(make([]uint32, e.dims), make([]uint32, e.dims),
-		make(ZAddr, e.words), alpha, beta)
+	g := e.DecodeGrid(alpha)
+	return e.RegionInto(g, make([]uint32, e.dims), g, CommonPrefixLen(alpha, beta, e.TotalBits()))
 }
 
-// RegionInto computes RegionOf into caller-owned storage: minG and
-// maxG (Dims() entries each) receive the corner grids, and scratch
-// (Words() entries) holds the intermediate padded address. Nothing
-// allocates, so index builds can compute one region per node into
-// slab arenas.
-func (e *Encoder) RegionInto(minG, maxG []uint32, scratch ZAddr, alpha, beta ZAddr) Region {
-	total := e.TotalBits()
-	cpl := CommonPrefixLen(alpha, beta, total)
-	for i := range scratch {
-		scratch[i] = 0
+// RegionInto computes the RZ-region of every address that shares its
+// first cpl bits with the address of grid g, writing the corner grids
+// into minG and maxG (Dims() entries each; either may alias g). With g
+// the grid of either boundary of a Z-interval and cpl the boundaries'
+// CommonPrefixLen, it equals RegionOf without touching an address.
+//
+// Address bit p carries dimension p mod d, so dimension k owns the
+// top m_k = ceil((cpl-k)/d) bits of the prefix (0 when cpl <= k). Those
+// bits are fixed; the rest are cleared for minG and set for maxG.
+// Nothing allocates, so index builds can compute one region per node
+// into slab arenas.
+func (e *Encoder) RegionInto(minG, maxG, g []uint32, cpl int) Region {
+	d := e.dims
+	minG, maxG, g = minG[:d], maxG[:d], g[:d]
+	// cpl = q*d + r: dims k < r own q+1 prefix bits, the others q.
+	q, r := cpl/d, cpl%d
+	freeLo := uint32(uint64(1)<<uint(e.bits-q) - 1) // dims k >= r
+	freeHi := freeLo >> 1                           // dims k < r
+	for k := range g {
+		free := freeLo
+		if k < r {
+			free = freeHi
+		}
+		minG[k], maxG[k] = g[k]&^free, g[k]|free
 	}
-	copyPrefix(scratch, alpha, cpl)
-	e.DecodeGridInto(minG, scratch)
-	setOnes(scratch, cpl, total)
-	e.DecodeGridInto(maxG, scratch)
 	return Region{MinG: minG, MaxG: maxG}
-}
-
-// RegionOfPoint is the degenerate region covering a single address.
-func (e *Encoder) RegionOfPoint(z ZAddr) Region {
-	g := e.DecodeGrid(z)
-	return Region{MinG: g, MaxG: g}
-}
-
-func copyPrefix(dst, src ZAddr, n int) {
-	fullWords := n / 64
-	copy(dst[:fullWords], src[:fullWords])
-	rem := n % 64
-	if rem > 0 && fullWords < len(src) {
-		mask := ^uint64(0) << uint(64-rem)
-		dst[fullWords] = src[fullWords] & mask
-	}
-}
-
-func setOnes(a ZAddr, from, to int) {
-	for i := from; i < to; i++ {
-		a[i/64] |= 1 << uint(63-i%64)
-	}
 }
 
 // --- Conservative grid-level dominance tests (DESIGN.md §5) ---
@@ -412,10 +443,14 @@ func RegionCannotDominatePointGrid(r Region, g []uint32) bool {
 // is the caller's concern.
 func (e *Encoder) DominanceVolume(a, b Region) float64 {
 	vol := 1.0
-	aMin, aMax := e.CellMin(a.MinG), e.CellMax(a.MaxG)
-	bMin, bMax := e.CellMin(b.MinG), e.CellMax(b.MaxG)
 	for k := 0; k < e.dims; k++ {
-		x := [4]float64{aMin[k], aMax[k], bMin[k], bMax[k]}
+		// The corners of CellMin(a.MinG), CellMax(a.MaxG), CellMin(b.MinG)
+		// and CellMax(b.MaxG) in dimension k.
+		lo, w := e.mins[k], e.width[k]
+		x := [4]float64{
+			lo + float64(a.MinG[k])*w, lo + float64(a.MaxG[k]+1)*w,
+			lo + float64(b.MinG[k])*w, lo + float64(b.MaxG[k]+1)*w,
+		}
 		// Find largest and second largest of the four.
 		first, second := math.Inf(-1), math.Inf(-1)
 		for _, v := range x {
