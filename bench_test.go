@@ -103,7 +103,7 @@ func BenchmarkZSearch20k5dIndep(b *testing.B) {
 	ds := gen.Synthetic(gen.Independent, 20000, 5, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		zbtree.ZSearch(enc, 16, ds.Points, nil)
+		zbtree.ZSearchGroup(nil, enc, 16, point.BlockOf(5, ds.Points), zorder.ZCol{}, nil)
 	}
 }
 
@@ -119,17 +119,16 @@ func BenchmarkZMergeVsRecompute(b *testing.B) {
 	enc, _ := zorder.NewUnitEncoder(4, 16)
 	a := gen.Synthetic(gen.AntiCorrelated, 20000, 4, 1)
 	c := gen.Synthetic(gen.AntiCorrelated, 20000, 4, 2)
-	skyA := zbtree.ZSearch(enc, 16, a.Points, nil)
-	skyB := zbtree.ZSearch(enc, 16, c.Points, nil)
+	skyA, zA := zbtree.ZSearchGroup(nil, enc, 16, point.BlockOf(4, a.Points), zorder.ZCol{}, nil)
+	skyB, zB := zbtree.ZSearchGroup(nil, enc, 16, point.BlockOf(4, c.Points), zorder.ZCol{}, nil)
 	b.Run("zmerge", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ta := zbtree.BuildFromPoints(enc, 16, skyA, nil)
-			tb := zbtree.BuildFromPoints(enc, 16, skyB, nil)
-			zbtree.Merge(ta, tb)
+			st, ranges := zbtree.StoreOf(enc, []point.Block{skyA, skyB}, []zorder.ZCol{zA, zB})
+			zbtree.MergeRanges(st, 16, nil, ranges, nil)
 		}
 	})
 	b.Run("sb-recompute", func(b *testing.B) {
-		all := append(append([]Point{}, skyA...), skyB...)
+		all := append(skyA.Points(), skyB.Points()...)
 		for i := 0; i < b.N; i++ {
 			seq.SB(all, nil)
 		}

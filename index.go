@@ -15,9 +15,10 @@ import (
 // skyline, progressive skyline, constrained (range) skyline, dominator
 // explanations, and dominance counting. Build once, query many times.
 // An Index is immutable after construction and safe for concurrent
-// reads.
+// reads: every query is a read-only tree walk that counts its work
+// locally and adds it to the shared tally once.
 type Index struct {
-	tree  *zbtree.Tree
+	tree  *zbtree.BlockTree
 	enc   *zorder.Encoder
 	tally *metrics.Tally
 }
@@ -48,7 +49,7 @@ func BuildIndex(ds *Dataset, bits int) (*Index, error) {
 	}
 	tally := &metrics.Tally{}
 	return &Index{
-		tree:  zbtree.BuildFromPoints(enc, 0, ds.Points, tally),
+		tree:  zbtree.BuildStore(zbtree.NewStore(enc, point.BlockOf(ds.Dims, ds.Points)), 0, nil, tally),
 		enc:   enc,
 		tally: tally,
 	}, nil
@@ -95,8 +96,7 @@ func (ix *Index) Dominators(p Point) ([]Point, error) {
 	if len(p) != ix.enc.Dims() {
 		return nil, fmt.Errorf("zskyline: point has %d dims, want %d", len(p), ix.enc.Dims())
 	}
-	e := zbtree.NewEntry(ix.enc, point.Point(p))
-	return ix.tree.DominatorsOf(e.G, e.P), nil
+	return ix.tree.DominatorsOf(ix.enc.Grid(p), p), nil
 }
 
 // DominatedCount returns how many indexed points p strictly dominates
@@ -105,8 +105,7 @@ func (ix *Index) DominatedCount(p Point) (int, error) {
 	if len(p) != ix.enc.Dims() {
 		return 0, fmt.Errorf("zskyline: point has %d dims, want %d", len(p), ix.enc.Dims())
 	}
-	e := zbtree.NewEntry(ix.enc, point.Point(p))
-	return ix.tree.CountDominatedBy(e.G, e.P), nil
+	return ix.tree.CountDominatedBy(ix.enc.Grid(p), p), nil
 }
 
 // Stats exposes the work counters accumulated by queries so far.

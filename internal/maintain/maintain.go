@@ -34,7 +34,7 @@ type Maintainer struct {
 	mu    sync.Mutex
 	enc   *zorder.Encoder
 	prov  dominance.Provider
-	sky   *zbtree.Tree
+	sky   *zbtree.BlockTree
 	tally *metrics.Tally
 	seen  int64
 	// version counts successful non-empty inserts: it identifies the
@@ -72,7 +72,9 @@ func NewUnder(prov dominance.Provider, dims, bits int, mins, maxs []float64) (*M
 	if prov == nil {
 		prov = dominance.Pareto{}
 	}
-	return &Maintainer{enc: enc, prov: prov, sky: zbtree.New(enc, 0, tally), tally: tally}, nil
+	m := &Maintainer{enc: enc, prov: prov, tally: tally}
+	m.sky = zbtree.NewBlockTree(zbtree.NewStore(enc, point.Block{Dims: dims}), 0, prov, tally)
+	return m, nil
 }
 
 // NewUnit creates a Maintainer over the unit hypercube.
@@ -102,11 +104,12 @@ func (m *Maintainer) Insert(batch []point.Point) (int, error) {
 
 // InsertBlock merges every row of a block into the maintained skyline
 // and returns how many of them are part of the new skyline. The block
-// is Z-encoded once as a bulk columnar pass; the batch skyline runs on
-// row indices over that column, and only the surviving rows — already
-// compacted into a fresh copy, so the long-lived tree never pins the
-// (transient, typically much larger) block's backing array — are
-// lifted into a ZB-tree and Z-merged into the maintained skyline.
+// is Z-encoded once as a bulk columnar pass and reduced to its own
+// skyline, compacted into a fresh copy so the long-lived tree never
+// pins the (transient, typically much larger) block. One Store then
+// holds the live skyline rows followed by the batch skyline, and the
+// same Z-merge fold as the pipeline's phase 3 merges the two row
+// ranges. The batch's survivors are the merged rows in its range.
 func (m *Maintainer) InsertBlock(b point.Block) (int, error) {
 	if b.Len() == 0 {
 		return 0, nil
@@ -114,45 +117,25 @@ func (m *Maintainer) InsertBlock(b point.Block) (int, error) {
 	if b.Dims != m.enc.Dims() {
 		return 0, fmt.Errorf("maintain: block has %d dims, want %d", b.Dims, m.enc.Dims())
 	}
-	views := b.Points()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.seen += int64(b.Len())
 	m.version++
 	m.view = nil
-	if !dominance.IsPareto(m.prov) {
-		skyB := zbtree.ZSearchBlockUnder(m.prov, m.enc, 0, b, m.tally)
-		if skyB.Len() > 0 {
-			batchSky := zbtree.BuildFromPoints(m.enc, 0, skyB.Points(), m.tally)
-			m.sky = zbtree.MergeUnder(m.prov, m.sky, batchSky)
-		}
-		return m.countFromBatch(views), nil
+	skyB, skyZ := zbtree.ZSearchGroup(m.prov, m.enc, 0, b, zorder.ZCol{}, m.tally)
+	if skyB.Len() == 0 {
+		return 0, nil
 	}
-	zc := m.enc.EncodeBlock(zorder.ZCol{}, b)
-	skyB, skyZ := zbtree.ZSearchGroup(m.enc, 0, b, zc, m.tally)
-	if skyB.Len() > 0 {
-		batchSky := zbtree.BuildFromBlockZ(m.enc, 0, skyB, skyZ, m.tally)
-		m.sky = zbtree.Merge(m.sky, batchSky)
-	}
-	return m.countFromBatch(views), nil
-}
-
-// countFromBatch reports how many maintained skyline points coordinate-
-// match points of batch. Duplicates count once per stored copy.
-func (m *Maintainer) countFromBatch(batch []point.Point) int {
-	keys := make(map[string]int, len(batch))
-	for _, p := range batch {
-		keys[p.String()]++
-	}
+	liveB, liveZ := m.sky.Compact()
+	st, ranges := zbtree.StoreOf(m.enc, []point.Block{liveB, skyB}, []zorder.ZCol{liveZ, skyZ})
+	m.sky = zbtree.MergeRanges(st, 0, m.prov, ranges, m.tally)
 	n := 0
-	for _, p := range m.sky.Points() {
-		k := p.String()
-		if keys[k] > 0 {
-			keys[k]--
+	for _, r := range m.sky.Rows() {
+		if r >= ranges[1][0] {
 			n++
 		}
 	}
-	return n
+	return n, nil
 }
 
 // Skyline returns a copy of the current skyline in Z-order.
@@ -214,8 +197,7 @@ func (m *Maintainer) Seen() int64 {
 func (m *Maintainer) Dominated(p point.Point) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	e := zbtree.NewEntry(m.enc, p)
-	return m.sky.DominatesPointUnder(m.prov, e.G, e.P)
+	return m.sky.DominatesPoint(m.enc.Grid(p), p)
 }
 
 // Dominators returns the skyline points that dominate p under the
@@ -225,13 +207,7 @@ func (m *Maintainer) Dominated(p point.Point) bool {
 func (m *Maintainer) Dominators(p point.Point) []point.Point {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var out []point.Point
-	for _, q := range m.sky.Points() {
-		if m.prov.Dominates(q, p) {
-			out = append(out, q)
-		}
-	}
-	return out
+	return m.sky.DominatorsOf(m.enc.Grid(p), p)
 }
 
 // Stats exposes the accumulated dominance/region test counters.
@@ -363,7 +339,7 @@ func Load(r io.Reader) (*Maintainer, error) {
 	if ds.Dims != dims {
 		return nil, fmt.Errorf("maintain: skyline dims %d != header %d", ds.Dims, dims)
 	}
-	m.sky = zbtree.BuildFromPoints(m.enc, 0, ds.Points, m.tally)
+	m.sky = zbtree.BuildStore(zbtree.NewStore(m.enc, point.BlockOf(dims, ds.Points)), 0, m.prov, m.tally)
 	m.seen = seen
 	m.version = version
 	return m, nil

@@ -87,6 +87,25 @@ func TestInsertReturnsAcceptedCount(t *testing.T) {
 	}
 }
 
+// A dominated batch point that prints like a skyline point (they agree
+// in the first 6 significant digits) must not count as accepted.
+func TestInsertCountNearTie(t *testing.T) {
+	m, _ := NewUnit(2, 16)
+	if n, _ := m.Insert([]point.Point{{0.1, 0.1000001}}); n != 1 {
+		t.Fatalf("first point accepted %d, want 1", n)
+	}
+	if n, _ := m.Insert([]point.Point{{0.1, 0.1000002}}); n != 0 {
+		t.Errorf("strictly dominated near-tie accepted %d, want 0", n)
+	}
+	if got := m.Skyline(); len(got) != 1 || !got[0].Equal(point.Point{0.1, 0.1000001}) {
+		t.Errorf("skyline = %v, want only the first point", got)
+	}
+	// An exact duplicate is not dominated: it joins and counts.
+	if n, _ := m.Insert([]point.Point{{0.1, 0.1000001}}); n != 1 {
+		t.Errorf("duplicate accepted %d, want 1", n)
+	}
+}
+
 func TestDominated(t *testing.T) {
 	m, _ := NewUnit(2, 10)
 	m.Insert([]point.Point{{0.3, 0.3}})

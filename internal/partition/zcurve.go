@@ -54,7 +54,8 @@ func NewZCurve(enc *zorder.Encoder, sample []point.Point, m int) (*ZCurve, error
 	}
 	// One bulk columnar encode of the sample; the sort permutes row
 	// indices over the shared column instead of shuffling addresses.
-	zc := enc.EncodeBlock(zorder.ZCol{}, point.BlockOf(enc.Dims(), sample))
+	blk := point.BlockOf(enc.Dims(), sample)
+	zc := enc.EncodeBlock(zorder.ZCol{}, blk)
 	perm := make([]int, zc.Len())
 	for i := range perm {
 		perm[i] = i
@@ -67,8 +68,8 @@ func NewZCurve(enc *zorder.Encoder, sample []point.Point, m int) (*ZCurve, error
 	}
 	z.dedupePivots()
 	// Sample skyline for the per-partition skyline histogram.
-	sky := zbtree.ZSearch(enc, 0, sample, nil)
-	z.buildInfos(sample, sky)
+	sky, _ := zbtree.ZSearchGroup(nil, enc, 0, blk, zc, nil)
+	z.buildInfos(sample, sky.Points())
 	return z, nil
 }
 
@@ -162,10 +163,6 @@ func (z *ZCurve) Assign(p point.Point) int {
 	return z.assignAddr(z.enc.Encode(p))
 }
 
-// AssignAddr routes an already-encoded Z-address to its partition —
-// the hot path for mappers that have the address at hand.
-func (z *ZCurve) AssignAddr(a zorder.ZAddr) int { return z.assignAddr(a) }
-
 func (z *ZCurve) assignAddr(a zorder.ZAddr) int {
 	return sort.Search(len(z.pivots), func(i int) bool {
 		return zorder.Compare(a, z.pivots[i]) < 0
@@ -188,10 +185,10 @@ func (z *ZCurve) Redistribute(sample []point.Point, maxSky int) *ZCurve {
 	if maxSky < 1 {
 		maxSky = 1
 	}
-	sky := zbtree.ZSearch(z.enc, 0, sample, nil)
-	// One bulk encode of the sample skyline; partitions hold row
-	// indices into the shared column.
-	skyZ := z.enc.EncodeBlock(zorder.ZCol{}, point.BlockOf(z.enc.Dims(), sky))
+	// The sample skyline carries its Z-address column; partitions hold
+	// row indices into it.
+	skyBlk, skyZ := zbtree.ZSearchGroup(nil, z.enc, 0, point.BlockOf(z.enc.Dims(), sample), zorder.ZCol{}, nil)
+	sky := skyBlk.Points()
 	perPart := make(map[int][]int)
 	for i := 0; i < skyZ.Len(); i++ {
 		id := z.assignAddr(skyZ.At(i))

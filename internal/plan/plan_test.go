@@ -178,6 +178,11 @@ func TestRuleDataRoundTrip(t *testing.T) {
 	if out1.Filtered != out2.Filtered || len(out1.Groups) != len(out2.Groups) {
 		t.Fatalf("map drift: %+v vs %+v", out1.Filtered, out2.Filtered)
 	}
+	// A sample skyline of the wrong width must be refused, not indexed.
+	back.SampleSkyline = point.Block{Dims: back.Dims + 1, Data: make([]float64, back.Dims+1)}
+	if _, err := FromData(&back); err == nil {
+		t.Fatal("FromData accepted a sample skyline of the wrong width")
+	}
 }
 
 // Baseline rules close over in-memory partitioners; they must refuse

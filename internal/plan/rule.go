@@ -46,11 +46,11 @@ type Rule struct {
 	// the Z-address into a partition, then map partition -> group.
 	pivots  []zorder.ZAddr
 	groupOf map[int]int
-	// szb is the sample-skyline ZB-tree of Algorithm 3; nil when the
-	// strategy does not filter.
-	szb *zbtree.Tree
+	// szb is the sample-skyline ZB-tree of Algorithm 3 (Pareto, over
+	// the sampleSky block); nil when the strategy does not filter.
+	szb *zbtree.BlockTree
 	// sampleSky is the broadcastable sample skyline backing szb.
-	sampleSky []point.Point
+	sampleSky point.Block
 
 	dims       int
 	bits       int
@@ -82,6 +82,7 @@ func Learn(spec *Spec, dims int, mins, maxs []float64, smp []point.Point, tally 
 		caps:      prov.Caps(),
 		enc:       enc,
 		localEnc:  enc,
+		sampleSky: point.Block{Dims: dims},
 		dims:      dims,
 		bits:      spec.Bits,
 		mins:      mins,
@@ -133,14 +134,15 @@ func Learn(spec *Spec, dims int, mins, maxs []float64, smp []point.Point, tally 
 	if err != nil {
 		return nil, err
 	}
-	skyPts := zbtree.ZSearch(enc, spec.fanout(), smp, tally)
+	skyBlk, skyZ := zbtree.ZSearchGroup(nil, enc, spec.fanout(), point.BlockOf(dims, smp), zorder.ZCol{}, tally)
+	skyPts := skyBlk.Points()
 	r.skySize = len(skyPts)
 	// Naive-Z is the bare §4.1 partitioner: pivots only, no sample
 	// skyline broadcast, no grouping. Only the grouped strategies run
 	// Algorithm 3's SZB-tree mapper filter.
 	if spec.Strategy != NaiveZ {
-		r.sampleSky = skyPts
-		r.szb = zbtree.BuildFromPoints(enc, spec.fanout(), skyPts, tally)
+		r.sampleSky = skyBlk
+		r.szb = zbtree.BuildStore(zbtree.NewStoreWithZCol(enc, skyBlk, skyZ), r.fanout, nil, tally)
 	}
 
 	var pg *grouping.PGMap
@@ -196,15 +198,10 @@ func (r *Rule) withUnitLocalEncoder() (*Rule, error) {
 	return r, nil
 }
 
-// NewLocalRule builds a routing-less rule over enc for substrates that
-// shard positionally (the shared-memory executor): only the local
-// skyline and merge kernels are meaningful on it.
-func NewLocalRule(enc *zorder.Encoder, fanout int, local LocalAlgo, merge MergeAlgo) *Rule {
-	return NewLocalRuleUnder(nil, enc, fanout, local, merge)
-}
-
-// NewLocalRuleUnder is NewLocalRule under a dominance provider (nil
-// means Pareto).
+// NewLocalRuleUnder builds a routing-less rule over enc for
+// substrates that shard positionally (the shared-memory executor):
+// only the local skyline and merge kernels are meaningful on it. A nil
+// provider means Pareto.
 func NewLocalRuleUnder(prov dominance.Provider, enc *zorder.Encoder, fanout int, local LocalAlgo, merge MergeAlgo) *Rule {
 	if fanout <= 0 {
 		fanout = zbtree.DefaultFanout
@@ -261,16 +258,6 @@ func (r *Rule) Route(p point.Point) (gid int, ok bool) {
 	return gid, ok
 }
 
-// RouteEntry routes an already-encoded ZB-tree entry — for mappers
-// that hold the entry anyway (Algorithm 3).
-func (r *Rule) RouteEntry(e zbtree.Entry) (gid int, ok bool) {
-	if r.szb != nil && !r.filterOff && r.szb.DominatesPoint(e.G, e.P) {
-		return 0, false
-	}
-	gid, ok = r.groupOf[r.partitionOf(e.Z)]
-	return gid, ok
-}
-
 // partitionOf binary-searches the Z-address into its partition
 // (Algorithm 3's searchPT step).
 func (r *Rule) partitionOf(a zorder.ZAddr) int {
@@ -315,28 +302,15 @@ func (r *Rule) localSkylineGroup(g Group, tally *metrics.Tally, carryZ bool) Gro
 	if n == 0 {
 		return out
 	}
-	if !r.pareto() {
-		// Non-Pareto relations run the capability-gated kernels; the
-		// encode-once column is not carried (the provider merge path
-		// re-derives what it needs). For non-transitive relations the
-		// result is a candidate superset that the pipeline's final
-		// verification pass closes.
-		if r.local == ZS {
-			out.Block = zbtree.ZSearchBlockUnder(r.prov, r.localEnc, r.fanout, g.Block, tally)
-		} else {
-			out.Block = dominance.SkylineBlock(r.prov, g.Block, tally)
-		}
-		return out
-	}
 	carryZ = carryZ && r.merge != MergeSB
 	if r.local == ZS {
 		if g.ZCol.Len() == n && g.ZCol.Words == r.enc.Words() {
 			// Encode-once: the column is bounds-encoded, so the kernel must
 			// run under the bounds encoder to keep the store consistent. For
 			// every rule that produces columns localEnc == enc anyway.
-			out.Block, out.ZCol = zbtree.ZSearchGroup(r.enc, r.fanout, g.Block, g.ZCol, tally)
+			out.Block, out.ZCol = zbtree.ZSearchGroup(r.prov, r.enc, r.fanout, g.Block, g.ZCol, tally)
 		} else {
-			out.Block, out.ZCol = zbtree.ZSearchGroup(r.localEnc, r.fanout, g.Block, zorder.ZCol{}, tally)
+			out.Block, out.ZCol = zbtree.ZSearchGroup(r.prov, r.localEnc, r.fanout, g.Block, zorder.ZCol{}, tally)
 			if r.localEnc != r.enc {
 				// Wrong provenance for the merge phase: the column was built
 				// by the unit-box local encoder.
@@ -350,11 +324,20 @@ func (r *Rule) localSkylineGroup(g Group, tally *metrics.Tally, carryZ bool) Gro
 		}
 		return out
 	}
-	out.Block = seq.SBBlock(g.Block, tally)
+	out.Block = r.sbBlock(g.Block, tally)
 	if carryZ {
 		out.ZCol = r.enc.EncodeBlock(zorder.ZCol{}, out.Block)
 	}
 	return out
+}
+
+// sbBlock is the SB kernel under the rule's relation: the hardcoded
+// sort-based skyline for Pareto, the generic provider kernel otherwise.
+func (r *Rule) sbBlock(b point.Block, tally *metrics.Tally) point.Block {
+	if r.pareto() {
+		return seq.SBBlock(b, tally)
+	}
+	return dominance.SkylineBlock(r.prov, b, tally)
 }
 
 // MapChunk is phase 2's map+combine over one chunk of individual
@@ -458,7 +441,9 @@ func (r *Rule) MapBlock(b point.Block, tally *metrics.Tally) MapOutput {
 // groups arrived without a column), builds index-based ZB-trees over
 // row ranges of that store, and Z-merges (or Z-searches) without
 // materializing a single per-point entry. The result carries its own
-// column so tree-merge rounds keep reusing addresses.
+// column so tree-merge rounds keep reusing addresses. Under a
+// non-transitive relation the result is a candidate superset that the
+// pipeline's final verification pass closes.
 func (r *Rule) MergeGroupsZ(groups []Group, tally *metrics.Tally) Group {
 	out := Group{Block: point.Block{Dims: r.dims}}
 	total := 0
@@ -468,61 +453,25 @@ func (r *Rule) MergeGroupsZ(groups []Group, tally *metrics.Tally) Group {
 	if total == 0 {
 		return out
 	}
-	if !r.pareto() {
-		// Provider fallback: concatenate the candidate groups and
-		// recompute under the capability-gated kernels. Z-merge's
-		// branch stashing and the columnar block trees assume Pareto
-		// region semantics; recomputation over the union is exact for
-		// transitive providers and yields the candidate superset the
-		// final verification pass expects otherwise.
-		bb := point.NewBlockBuilder(r.dims, total)
-		for _, g := range groups {
-			bb.AppendBlock(g.Block)
-		}
-		if r.merge == MergeSB {
-			out.Block = dominance.SkylineBlock(r.prov, bb.Build(), tally)
-		} else {
-			out.Block = zbtree.ZSearchBlockUnder(r.prov, r.enc, r.fanout, bb.Build(), tally)
-		}
-		return out
-	}
 	if r.merge == MergeSB {
 		bb := point.NewBlockBuilder(r.dims, total)
 		for _, g := range groups {
 			bb.AppendBlock(g.Block)
 		}
-		out.Block = seq.SBBlock(bb.Build(), tally)
+		out.Block = r.sbBlock(bb.Build(), tally)
 		return out
 	}
-	// Shared store over all candidates, reusing columns where present.
-	w := r.enc.Words()
-	bb := point.NewBlockBuilder(r.dims, total)
-	zc := zorder.ZCol{Words: w, Data: make([]uint64, 0, total*w)}
-	ranges := make([][2]int32, 0, len(groups)) // per-group [lo,hi) store rows
-	for _, g := range groups {
-		lo := int32(bb.Len())
-		bb.AppendBlock(g.Block)
-		if g.ZCol.Len() == g.Block.Len() && g.ZCol.Words == w {
-			zc.AppendCol(g.ZCol)
-		} else {
-			zc.AppendCol(r.enc.EncodeBlock(zorder.ZCol{}, g.Block))
-		}
-		ranges = append(ranges, [2]int32{lo, int32(bb.Len())})
+	blocks := make([]point.Block, len(groups))
+	cols := make([]zorder.ZCol, len(groups))
+	for i, g := range groups {
+		blocks[i], cols[i] = g.Block, g.ZCol
 	}
-	st := zbtree.NewStoreWithZCol(r.enc, bb.Build(), zc)
+	st, ranges := zbtree.StoreOf(r.enc, blocks, cols)
 	var rows []int32
 	if r.merge == MergeZS {
-		rows = zbtree.BuildStore(st, r.fanout, tally).SkylineRows()
+		rows = zbtree.BuildStore(st, r.fanout, r.prov, tally).SkylineRows()
 	} else { // MergeZM: fold Z-merge over per-group trees (Algorithm 4)
-		acc := zbtree.NewBlockTree(st, r.fanout, tally)
-		for _, rg := range ranges {
-			seg := make([]int32, 0, rg[1]-rg[0])
-			for i := rg[0]; i < rg[1]; i++ {
-				seg = append(seg, i)
-			}
-			acc = zbtree.MergeBlock(acc, zbtree.BuildRows(st, r.fanout, seg, tally))
-		}
-		rows = acc.Rows()
+		rows = zbtree.MergeRanges(st, r.fanout, r.prov, ranges, tally).Rows()
 	}
 	out.Block, out.ZCol = st.CompactRows(rows)
 	return out
@@ -562,7 +511,7 @@ func (r *Rule) Data() (*RuleData, error) {
 		Maxs:          r.maxs,
 		GroupOf:       r.groupOf,
 		Groups:        r.groups,
-		SampleSkyline: point.BlockOf(r.dims, r.sampleSky),
+		SampleSkyline: r.sampleSky,
 		Fanout:        r.fanout,
 		Local:         r.local,
 		Merge:         r.merge,
@@ -586,7 +535,6 @@ func FromData(rd *RuleData) (*Rule, error) {
 	if err != nil {
 		return nil, err
 	}
-	skyPts := rd.SampleSkyline.Points()
 	r := &Rule{
 		local:     rd.Local,
 		merge:     rd.Merge,
@@ -597,14 +545,14 @@ func FromData(rd *RuleData) (*Rule, error) {
 		enc:       enc,
 		localEnc:  enc,
 		groupOf:   rd.GroupOf,
-		sampleSky: skyPts,
+		sampleSky: rd.SampleSkyline,
 		dims:      rd.Dims,
 		bits:      rd.Bits,
 		mins:      rd.Mins,
 		maxs:      rd.Maxs,
 		groups:    rd.Groups,
 		parts:     len(rd.Pivots) + 1,
-		skySize:   len(skyPts),
+		skySize:   rd.SampleSkyline.Len(),
 	}
 	if r.fanout <= 0 {
 		r.fanout = zbtree.DefaultFanout
@@ -615,8 +563,11 @@ func FromData(rd *RuleData) (*Rule, error) {
 		}
 		r.pivots = append(r.pivots, zorder.ZAddr(p))
 	}
-	if len(skyPts) > 0 {
-		r.szb = zbtree.BuildFromPoints(enc, r.fanout, skyPts, nil)
+	if rd.SampleSkyline.Len() > 0 {
+		if rd.SampleSkyline.Dims != rd.Dims {
+			return nil, fmt.Errorf("plan: sample skyline has %d dims, want %d", rd.SampleSkyline.Dims, rd.Dims)
+		}
+		r.szb = zbtree.BuildStore(zbtree.NewStore(enc, rd.SampleSkyline), r.fanout, nil, nil)
 	}
 	return r, nil
 }

@@ -31,7 +31,7 @@ type Skyline struct {
 	ring     []point.Point
 	head     int // index of the oldest point
 	size     int
-	sky      *zbtree.Tree
+	sky      *zbtree.BlockTree
 	tally    *metrics.Tally
 	// dirty marks that the tree must be rebuilt from the ring before
 	// the next read (set when a skyline point expired, and on every
@@ -70,7 +70,7 @@ func NewUnder(prov dominance.Provider, capacity, dims, bits int, mins, maxs []fl
 		prov:     prov,
 		capacity: capacity,
 		ring:     make([]point.Point, capacity),
-		sky:      zbtree.New(enc, 0, tally),
+		sky:      zbtree.NewBlockTree(zbtree.NewStore(enc, point.Block{Dims: dims}), 0, prov, tally),
 		tally:    tally,
 	}, nil
 }
@@ -143,7 +143,7 @@ func (w *Skyline) push(p point.Point) (bool, error) {
 	w.ring[(w.head+w.size)%w.capacity] = p
 	w.size++
 
-	e := zbtree.NewEntry(w.enc, p)
+	g := w.enc.Grid(p)
 	if w.dirty {
 		// The rebuild recomputes the exact skyline of the live window,
 		// which already includes p — do not insert it a second time.
@@ -153,19 +153,21 @@ func (w *Skyline) push(p point.Point) (bool, error) {
 			// coordinate-determined, so a coordinate match decides.
 			return w.contains(p), nil
 		}
-		return !w.sky.DominatesPointUnder(w.prov, e.G, e.P), nil
+		return !w.sky.DominatesPoint(g, p), nil
 	}
 	// Incremental arrival: if p is dominated by the current skyline it
 	// changes nothing; otherwise it evicts what it dominates and joins.
 	// Sound for transitive relations only (see push's dirty rule).
-	if w.sky.DominatesPointUnder(w.prov, e.G, e.P) {
+	if w.sky.DominatesPoint(g, p) {
 		return false, nil
 	}
-	w.sky.RemoveDominatedByUnder(w.prov, e.G, e.P)
+	w.sky.RemoveDominatedBy(g, p)
 	// Rebuild-and-insert keeps the tree balanced and sidesteps the
-	// append-only Z-order restriction for out-of-order arrivals.
-	entries := append(w.sky.Entries(), e)
-	w.sky = zbtree.Build(w.enc, 0, entries, w.tally)
+	// append-only Z-order restriction for out-of-order arrivals; the
+	// survivors keep their Z-addresses, only p is encoded.
+	liveB, liveZ := w.sky.Compact()
+	st, _ := zbtree.StoreOf(w.enc, []point.Block{liveB, point.BlockOf(len(p), []point.Point{p})}, []zorder.ZCol{liveZ, {}})
+	w.sky = zbtree.BuildStore(st, 0, w.prov, w.tally)
 	return true, nil
 }
 
@@ -193,13 +195,8 @@ func (w *Skyline) Live() []point.Point {
 
 // rebuild recomputes the skyline from the live window.
 func (w *Skyline) rebuild() {
-	live := w.Live()
-	if dominance.IsPareto(w.prov) {
-		w.sky = zbtree.BuildFromPoints(w.enc, 0, live, w.tally).SkylineTree()
-	} else {
-		sky := zbtree.ZSearchUnder(w.prov, w.enc, 0, live, w.tally)
-		w.sky = zbtree.BuildFromPoints(w.enc, 0, sky, w.tally)
-	}
+	blk, zc := zbtree.ZSearchGroup(w.prov, w.enc, 0, point.BlockOf(w.enc.Dims(), w.Live()), zorder.ZCol{}, w.tally)
+	w.sky = zbtree.BuildStore(zbtree.NewStoreWithZCol(w.enc, blk, zc), 0, w.prov, w.tally)
 	w.dirty = false
 }
 

@@ -1,20 +1,46 @@
+// Package zbtree implements the ZB-tree of Lee et al. [5] that the
+// paper builds on: a balanced tree over Z-addresses whose leaves hold
+// data rows and whose internal nodes hold the RZ-region of their
+// subtree. There is one tree, BlockTree: its nodes live in one slab
+// and reference rows of a shared columnar Store (points, Z-addresses
+// and grid coordinates, each computed once). On it the package
+// provides
+//
+//   - Z-search (SkylineRows, ZSearchGroup): the centralized skyline
+//     algorithm ("ZS" in the paper's evaluation), which visits rows in
+//     Z-order and prunes whole subtrees with RZ-region tests;
+//   - Z-merge (MergeRanges): the paper's Algorithm 4 for
+//     merging skyline candidate sets, the third-phase workhorse;
+//   - the SZB-filter probe of Algorithm 3 (DominatesPoint); and
+//   - index queries: range, constrained and progressive skylines,
+//     dominators and dominance counts.
+//
+// All region-level pruning uses the conservative grid tests of package
+// zorder, so results are exact with respect to the original float
+// coordinates (see DESIGN.md §5). Each tree computes under one
+// dominance relation; see walk.go for how the grid cuts are gated on
+// its capabilities.
 package zbtree
 
 import (
 	"fmt"
 	"sort"
 
+	"zskyline/internal/dominance"
 	"zskyline/internal/metrics"
 	"zskyline/internal/point"
 	"zskyline/internal/zorder"
 )
 
+// DefaultFanout is the node capacity used when callers pass 0.
+const DefaultFanout = 16
+
 // Store is the shared columnar backing of a BlockTree: the flat point
 // block, its Z-address column, and the grid coordinates, all
 // stride-indexed by row. Trees built over the same Store reference rows
-// by index instead of owning Entry copies, which is what lets the
-// pipeline encode each point's Z-address exactly once per query and
-// merge candidate sets without rematerializing them.
+// by index, which is what lets the pipeline encode each point's
+// Z-address exactly once per query and merge candidate sets without
+// rematerializing them. A Store is never mutated after construction.
 type Store struct {
 	enc  *zorder.Encoder
 	blk  point.Block
@@ -50,21 +76,44 @@ func NewStoreWithZCol(enc *zorder.Encoder, b point.Block, zc zorder.ZCol) *Store
 	return st
 }
 
-// Len returns the number of rows in the store.
-func (st *Store) Len() int { return st.blk.Len() }
+// StoreOf concatenates blocks into one Store. Block i's column cols[i]
+// is reused when it holds one enc-encoded address per row; otherwise
+// the block is encoded here. ranges[i] is block i's [lo, hi) row span
+// in the store — the per-candidate-set ranges MergeRanges folds over.
+func StoreOf(enc *zorder.Encoder, blocks []point.Block, cols []zorder.ZCol) (st *Store, ranges [][2]int32) {
+	total := 0
+	for _, b := range blocks {
+		total += b.Len()
+	}
+	w := enc.Words()
+	bb := point.NewBlockBuilder(enc.Dims(), total)
+	zc := zorder.ZCol{Words: w, Data: make([]uint64, 0, total*w)}
+	ranges = make([][2]int32, len(blocks))
+	for i, b := range blocks {
+		lo := int32(bb.Len())
+		bb.AppendBlock(b)
+		if cols[i].Len() == b.Len() && cols[i].Words == w {
+			zc.AppendCol(cols[i])
+		} else {
+			zc.AppendCol(enc.EncodeBlock(zorder.ZCol{}, b))
+		}
+		ranges[i] = [2]int32{lo, int32(bb.Len())}
+	}
+	return NewStoreWithZCol(enc, bb.Build(), zc), ranges
+}
 
-// Row returns the float point of row i (zero-copy view).
-func (st *Store) Row(i int32) point.Point { return st.blk.Row(int(i)) }
+// row returns the float point of row i (zero-copy view).
+func (st *Store) row(i int32) point.Point { return st.blk.Row(int(i)) }
 
-// Grid returns the grid coordinates of row i (zero-copy view).
-func (st *Store) Grid(i int32) []uint32 {
+// cell returns the grid coordinates of row i (zero-copy view).
+func (st *Store) cell(i int32) []uint32 {
 	d := st.enc.Dims()
 	lo := int(i) * d
 	return st.grid[lo : lo+d : lo+d]
 }
 
-// Z returns the Z-address of row i (zero-copy view).
-func (st *Store) Z(i int32) zorder.ZAddr { return st.zc.At(int(i)) }
+// addr returns the Z-address of row i (zero-copy view).
+func (st *Store) addr(i int32) zorder.ZAddr { return st.zc.At(int(i)) }
 
 // CompactRows copies the given rows out into a fresh block and
 // Z-column, so results never pin the (potentially much larger) input
@@ -78,7 +127,7 @@ func (st *Store) CompactRows(rows []int32) (point.Block, zorder.ZCol) {
 	blk.Data = make([]float64, 0, len(rows)*st.blk.Dims)
 	zc.Data = make([]uint64, 0, len(rows)*st.zc.Words)
 	for _, r := range rows {
-		blk.Data = append(blk.Data, st.Row(r)...)
+		blk.Data = append(blk.Data, st.row(r)...)
 		zc.AppendRow(st.zc, int(r))
 	}
 	return blk, zc
@@ -86,9 +135,9 @@ func (st *Store) CompactRows(rows []int32) (point.Block, zorder.ZCol) {
 
 // bnode is one slab-allocated tree node, addressed by index into
 // BlockTree.nodes. kids == nil marks a leaf. minRow/maxRow reference
-// store rows whose Z-addresses bound the subtree; like the legacy
-// tree, they (and the region arenas) are left as stale supersets after
-// RemoveDominatedBy compaction — Z-merge re-balances once at the end.
+// store rows whose Z-addresses bound the subtree; they (and the region
+// arenas) are left as stale supersets after RemoveDominatedBy
+// compaction — Z-merge re-balances once at the end.
 type bnode struct {
 	kids   []int32 // child node ids; nil for leaves
 	rows   []int32 // leaf rows in Z-order
@@ -100,88 +149,85 @@ type bnode struct {
 func (n *bnode) isLeaf() bool { return n.kids == nil }
 
 // BlockTree is a ZB-tree whose nodes live in one slab and whose
-// entries are (row index into a shared Store) instead of owned
-// Entry copies: no per-node heap allocation on the bulk-load path, no
-// per-point ZAddr/grid clones anywhere. Structure and pruning mirror
-// Tree exactly — same RZ-regions, same conservative grid tests, same
-// stale-region-after-delete strategy — so the two implementations are
-// interchangeable oracles for one another. A BlockTree is not safe for
-// concurrent use, queries included: walks buffer their tally counts in
-// the tree.
+// entries are row indices into a shared Store: no per-node heap
+// allocation on the bulk-load path and no per-point address or grid
+// copies anywhere. Every walk computes under the tree's dominance
+// relation. Read-only walks (DominatesPoint, SkylineRows,
+// SkylineProgressive, RangeQuery, SkylineWithin, DominatorsOf,
+// CountDominatedBy) are safe to run concurrently on one tree: they
+// count their tests in per-call locals. RemoveDominatedBy mutates and
+// needs exclusive access.
 type BlockTree struct {
 	st     *Store
+	dims   int
 	fanout int
+	prov   dominance.Provider
+	caps   dominance.Caps
+	pareto bool
 	tally  *metrics.Tally
 	nodes  []bnode
-	// Region corner arenas, Dims() stride per node id.
-	regMin, regMax []uint32
-	root           int32 // -1 when empty
-	// Tally increments not yet flushed. The walks count here and each
-	// exported operation flushes once, so tasks sharing one Tally do not
-	// contend on its atomics at every node they visit.
-	regionTests, dominanceTests int64
+	// regs holds each node's region corners side by side, MinG then
+	// MaxG, 2*dims stride per node id.
+	regs []uint32
+	root int32 // -1 when empty
 }
 
-// flush moves the buffered test counts into the tally.
-func (t *BlockTree) flush() {
-	if t.regionTests != 0 {
-		t.tally.AddRegionTests(t.regionTests)
-		t.regionTests = 0
-	}
-	if t.dominanceTests != 0 {
-		t.tally.AddDominanceTests(t.dominanceTests)
-		t.dominanceTests = 0
-	}
-}
-
-// NewBlockTree returns an empty tree over st. fanout <= 0 selects
-// DefaultFanout; tally may be nil.
-func NewBlockTree(st *Store, fanout int, tally *metrics.Tally) *BlockTree {
+// NewBlockTree returns an empty tree over st computing under prov (nil
+// means Pareto). fanout <= 0 selects DefaultFanout; tally may be nil.
+func NewBlockTree(st *Store, fanout int, prov dominance.Provider, tally *metrics.Tally) *BlockTree {
 	if fanout <= 0 {
 		fanout = DefaultFanout
 	}
 	if fanout < 2 {
 		fanout = 2
 	}
-	return &BlockTree{st: st, fanout: fanout, tally: tally, root: -1}
+	if prov == nil {
+		prov = dominance.Pareto{}
+	}
+	return &BlockTree{st: st, dims: st.enc.Dims(), fanout: fanout, prov: prov, caps: prov.Caps(),
+		pareto: dominance.IsPareto(prov), tally: tally, root: -1}
+}
+
+// empty returns an empty tree sharing t's store, fanout, relation and
+// tally.
+func (t *BlockTree) empty() *BlockTree {
+	return NewBlockTree(t.st, t.fanout, t.prov, t.tally)
 }
 
 // newNode appends a zeroed node to the slab and grows the region
-// arenas in tandem, returning its id. Callers must re-index t.nodes
+// arena in tandem, returning its id. Callers must re-index t.nodes
 // after calling (the slab may move).
 func (t *BlockTree) newNode() int32 {
 	id := int32(len(t.nodes))
 	t.nodes = append(t.nodes, bnode{minRow: -1, maxRow: -1})
-	d := t.st.enc.Dims()
-	for i := 0; i < d; i++ {
-		t.regMin = append(t.regMin, 0)
-		t.regMax = append(t.regMax, 0)
+	for i := 0; i < 2*t.dims; i++ {
+		t.regs = append(t.regs, 0)
 	}
 	return id
 }
 
-// region returns node n's RZ-region as views into the corner arenas.
+// region returns node n's RZ-region as views into the corner arena.
 func (t *BlockTree) region(n int32) zorder.Region {
-	d := t.st.enc.Dims()
-	lo := int(n) * d
-	return zorder.Region{MinG: t.regMin[lo : lo+d : lo+d], MaxG: t.regMax[lo : lo+d : lo+d]}
+	d := t.dims
+	r := t.regs[int(n)*2*d : (int(n)+1)*2*d]
+	return zorder.Region{MinG: r[:d:d], MaxG: r[d:]}
 }
 
 // setRegion recomputes node n's RZ-region spanning rows a <= b, writing
-// straight into the arenas: row a's stored grid masked to the rows'
+// straight into the arena: row a's stored grid masked to the rows'
 // common Z-prefix, so no address is decoded.
 func (t *BlockTree) setRegion(n, a, b int32) {
 	r := t.region(n)
-	cpl := zorder.CommonPrefixLen(t.st.Z(a), t.st.Z(b), t.st.enc.TotalBits())
-	t.st.enc.RegionInto(r.MinG, r.MaxG, t.st.Grid(a), cpl)
+	cpl := zorder.CommonPrefixLen(t.st.addr(a), t.st.addr(b), t.st.enc.TotalBits())
+	t.st.enc.RegionInto(r.MinG, r.MaxG, t.st.cell(a), cpl)
 }
 
 // setPointRegion sets node n's region to the degenerate region of one
 // row.
 func (t *BlockTree) setPointRegion(n, row int32) {
 	r := t.region(n)
-	copy(r.MinG, t.st.Grid(row))
-	copy(r.MaxG, t.st.Grid(row))
+	copy(r.MinG, t.st.cell(row))
+	copy(r.MaxG, t.st.cell(row))
 }
 
 // Len returns the number of rows in the tree.
@@ -192,16 +238,27 @@ func (t *BlockTree) Len() int {
 	return int(t.nodes[t.root].count)
 }
 
-// Empty reports whether the tree holds no rows.
-func (t *BlockTree) Empty() bool { return t.Len() == 0 }
-
-// Store returns the shared backing store.
-func (t *BlockTree) Store() *Store { return t.st }
+// Compact copies the stored rows, in Z-order, out into a fresh block
+// and Z-column (see Store.CompactRows).
+func (t *BlockTree) Compact() (point.Block, zorder.ZCol) { return t.st.CompactRows(t.Rows()) }
 
 // Rows returns all stored row indices in Z-order.
 func (t *BlockTree) Rows() []int32 {
 	out := make([]int32, 0, t.Len())
 	return t.appendRows(t.root, out)
+}
+
+// Points returns the stored rows' points in Z-order, as views into the
+// store.
+func (t *BlockTree) Points() []point.Point { return t.points(t.Rows()) }
+
+// points maps store rows to their (zero-copy) points.
+func (t *BlockTree) points(rows []int32) []point.Point {
+	out := make([]point.Point, len(rows))
+	for i, r := range rows {
+		out[i] = t.st.row(r)
+	}
+	return out
 }
 
 func (t *BlockTree) appendRows(n int32, out []int32) []int32 {
@@ -219,20 +276,20 @@ func (t *BlockTree) appendRows(n int32, out []int32) []int32 {
 }
 
 // BuildStore bulk-loads a balanced tree over every row of st.
-func BuildStore(st *Store, fanout int, tally *metrics.Tally) *BlockTree {
-	rows := make([]int32, st.Len())
+func BuildStore(st *Store, fanout int, prov dominance.Provider, tally *metrics.Tally) *BlockTree {
+	rows := make([]int32, st.blk.Len())
 	for i := range rows {
 		rows[i] = int32(i)
 	}
-	return BuildRows(st, fanout, rows, tally)
+	return buildRows(st, fanout, prov, rows, tally)
 }
 
-// BuildRows bulk-loads a balanced tree holding the given store rows,
-// sorting them by Z-address first (stably, so ties keep input order —
-// the same tie rule as Build). It takes ownership of rows and sorts it
-// in place; the slice becomes the leaf-row arena.
-func BuildRows(st *Store, fanout int, rows []int32, tally *metrics.Tally) *BlockTree {
-	t := NewBlockTree(st, fanout, tally)
+// buildRows bulk-loads a balanced tree holding the given store rows,
+// sorting them by Z-address first (stably, so ties keep input order).
+// It takes ownership of rows and sorts it in place; the slice becomes
+// the leaf-row arena.
+func buildRows(st *Store, fanout int, prov dominance.Provider, rows []int32, tally *metrics.Tally) *BlockTree {
+	t := NewBlockTree(st, fanout, prov, tally)
 	if len(rows) == 0 {
 		return t
 	}
@@ -243,8 +300,7 @@ func BuildRows(st *Store, fanout int, rows []int32, tally *metrics.Tally) *Block
 	nLeaves := (len(rows) + t.fanout - 1) / t.fanout
 	nNodes := nLeaves + nLeaves/(t.fanout-1) + 2
 	t.nodes = make([]bnode, 0, nNodes)
-	t.regMin = make([]uint32, 0, nNodes*st.enc.Dims())
-	t.regMax = make([]uint32, 0, nNodes*st.enc.Dims())
+	t.regs = make([]uint32, 0, nNodes*2*t.dims)
 	level := make([]int32, 0, nLeaves)
 	for lo := 0; lo < len(rows); lo += t.fanout {
 		hi := lo + t.fanout
@@ -287,12 +343,12 @@ func BuildRows(st *Store, fanout int, rows []int32, tally *metrics.Tally) *Block
 	return t
 }
 
-// Append inserts a row whose Z-address is >= every address already in
-// the tree (rightmost-edge insertion), mirroring Tree.Append. It
-// panics on an out-of-order insert for the same reason the legacy tree
-// does: a silently corrupted index would invalidate every later
-// dominance test.
-func (t *BlockTree) Append(row int32) {
+// appendRow inserts a row whose Z-address is >= every address already in
+// the tree (rightmost-edge insertion) — the only mutation Z-search
+// needs, since skyline rows arrive in Z-order. It panics on an
+// out-of-order insert: a silently corrupted index would invalidate
+// every later dominance test.
+func (t *BlockTree) appendRow(row int32) {
 	if t.root < 0 {
 		id := t.newNode()
 		nd := &t.nodes[id]
@@ -305,7 +361,7 @@ func (t *BlockTree) Append(row int32) {
 		return
 	}
 	if t.st.zc.Compare(int(row), int(t.nodes[t.root].maxRow)) < 0 {
-		panic(fmt.Sprintf("zbtree: Append out of Z-order: row %d < row %d", row, t.nodes[t.root].maxRow))
+		panic(fmt.Sprintf("zbtree: append out of Z-order: row %d < row %d", row, t.nodes[t.root].maxRow))
 	}
 	if up := t.appendAt(t.root, row); up >= 0 {
 		id := t.newNode()
@@ -367,285 +423,4 @@ func (t *BlockTree) appendAt(n, row int32) int32 {
 	copy(r.MinG, ur.MinG)
 	copy(r.MaxG, ur.MaxG)
 	return id
-}
-
-// DominatesRow reports whether some stored row strictly dominates row
-// (exact float semantics; grid tests only prune).
-func (t *BlockTree) DominatesRow(row int32) bool {
-	ok := t.dominatesPoint(t.root, t.st.Grid(row), t.st.Row(row))
-	t.flush()
-	return ok
-}
-
-func (t *BlockTree) dominatesPoint(n int32, g []uint32, p point.Point) bool {
-	if n < 0 {
-		return false
-	}
-	t.regionTests++
-	r := t.region(n)
-	if zorder.RegionCannotDominatePointGrid(r, g) {
-		return false
-	}
-	if zorder.GridStrictDominates(r.MaxG, g) {
-		return true
-	}
-	nd := &t.nodes[n]
-	if nd.isLeaf() {
-		t.dominanceTests += int64(len(nd.rows))
-		for _, e := range nd.rows {
-			if point.Dominates(t.st.Row(e), p) {
-				return true
-			}
-		}
-		return false
-	}
-	for _, c := range nd.kids {
-		if t.dominatesPoint(c, g, p) {
-			return true
-		}
-	}
-	return false
-}
-
-// DominatesAllOfRegion reports whether some single stored row strictly
-// dominates every float point that could lie in region r.
-func (t *BlockTree) DominatesAllOfRegion(r zorder.Region) bool {
-	ok := t.dominatesRegion(t.root, r)
-	t.flush()
-	return ok
-}
-
-func (t *BlockTree) dominatesRegion(n int32, r zorder.Region) bool {
-	if n < 0 {
-		return false
-	}
-	t.regionTests++
-	nr := t.region(n)
-	if !zorder.GridStrictDominates(nr.MinG, r.MinG) {
-		return false
-	}
-	if zorder.GridStrictDominates(nr.MaxG, r.MinG) {
-		return true
-	}
-	nd := &t.nodes[n]
-	if nd.isLeaf() {
-		for _, e := range nd.rows {
-			if zorder.GridStrictDominates(t.st.Grid(e), r.MinG) {
-				return true
-			}
-		}
-		return false
-	}
-	for _, c := range nd.kids {
-		if t.dominatesRegion(c, r) {
-			return true
-		}
-	}
-	return false
-}
-
-// RemoveDominatedBy deletes every stored row strictly dominated by row
-// and returns how many were removed. Interior regions are left as-is
-// (valid supersets), matching Tree.RemoveDominatedBy.
-func (t *BlockTree) RemoveDominatedBy(row int32) int {
-	if t.root < 0 {
-		return 0
-	}
-	removed := t.removeDominated(t.root, t.st.Grid(row), t.st.Row(row))
-	t.flush()
-	if t.nodes[t.root].count == 0 {
-		t.root = -1
-	}
-	return removed
-}
-
-func (t *BlockTree) removeDominated(n int32, g []uint32, p point.Point) int {
-	t.regionTests++
-	if zorder.GridSomeGreater(g, t.region(n).MaxG) {
-		return 0
-	}
-	nd := &t.nodes[n]
-	if nd.isLeaf() {
-		kept := nd.rows[:0]
-		removed := 0
-		t.dominanceTests += int64(len(nd.rows))
-		for _, e := range nd.rows {
-			if point.Dominates(p, t.st.Row(e)) {
-				removed++
-				continue
-			}
-			kept = append(kept, e)
-		}
-		nd.rows = kept
-		nd.count = int32(len(kept))
-		return removed
-	}
-	removed := 0
-	kept := nd.kids[:0]
-	for _, c := range nd.kids {
-		if zorder.PointGridDominatesRegion(g, t.region(c)) {
-			removed += int(t.nodes[c].count)
-			continue
-		}
-		removed += t.removeDominated(c, g, p)
-		if t.nodes[c].count > 0 {
-			kept = append(kept, c)
-		}
-	}
-	nd.kids = kept
-	nd.count -= int32(removed)
-	return removed
-}
-
-// SkylineRows runs Z-search over the tree and returns the skyline's
-// row indices in Z-order. Semantics mirror Tree.Skyline: the running
-// skyline lives in a second BlockTree over the same store.
-func (t *BlockTree) SkylineRows() []int32 {
-	sky := NewBlockTree(t.st, t.fanout, t.tally)
-	t.zsearch(t.root, sky)
-	return sky.Rows()
-}
-
-func (t *BlockTree) zsearch(n int32, sky *BlockTree) {
-	if n < 0 {
-		return
-	}
-	if sky.DominatesAllOfRegion(t.region(n)) {
-		return
-	}
-	if t.nodes[n].isLeaf() {
-		for _, e := range t.nodes[n].rows {
-			if sky.DominatesRow(e) {
-				continue
-			}
-			sky.RemoveDominatedBy(e)
-			sky.Append(e)
-		}
-		return
-	}
-	for _, c := range t.nodes[n].kids {
-		t.zsearch(c, sky)
-	}
-}
-
-// incomparableWith mirrors Tree.incomparableWith: a conservative,
-// depth-bounded check that no stored row and no float point of region
-// r can dominate one another.
-func (t *BlockTree) incomparableWith(n int32, r zorder.Region, depth int) bool {
-	if n < 0 {
-		return false
-	}
-	t.regionTests++
-	if zorder.RegionsIncomparable(t.region(n), r) {
-		return true
-	}
-	nd := &t.nodes[n]
-	if depth == 0 || nd.isLeaf() {
-		return false
-	}
-	for _, c := range nd.kids {
-		if !t.incomparableWith(c, r, depth-1) {
-			return false
-		}
-	}
-	return true
-}
-
-// MergeBlock implements Z-merge (Algorithm 4) over two trees sharing
-// one Store, mirroring Merge entry for entry: BFS over src, discard
-// branches an existing skyline row region-dominates, stash branches
-// incomparable with the whole skyline, and let surviving leaf rows
-// prune dominated sky rows before the final rebalance. Both inputs
-// must individually be skyline candidate sets.
-func MergeBlock(sky, src *BlockTree) *BlockTree {
-	if sky.st != src.st {
-		panic("zbtree: MergeBlock requires both trees to share one Store")
-	}
-	if src.Empty() {
-		return sky
-	}
-	if sky.Empty() {
-		return src
-	}
-	var stash, survivors []int32
-	queue := []int32{src.root}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		if sky.DominatesAllOfRegion(src.region(n)) {
-			continue
-		}
-		if sky.incomparableWith(sky.root, src.region(n), 2) {
-			stash = src.appendRows(n, stash)
-			continue
-		}
-		nd := &src.nodes[n]
-		if !nd.isLeaf() {
-			queue = append(queue, nd.kids...)
-			continue
-		}
-		for _, e := range nd.rows {
-			if sky.DominatesRow(e) {
-				continue
-			}
-			sky.RemoveDominatedBy(e)
-			survivors = append(survivors, e)
-		}
-	}
-	sky.flush()
-	all := sky.Rows()
-	all = append(all, survivors...)
-	all = append(all, stash...)
-	return BuildRows(sky.st, sky.fanout, all, sky.tally)
-}
-
-// ZSearchBlock is the block-native "ZS" entry point: index b's rows
-// into a BlockTree and return the exact skyline as a compact block.
-func ZSearchBlock(enc *zorder.Encoder, fanout int, b point.Block, tally *metrics.Tally) point.Block {
-	out, _ := ZSearchGroup(enc, fanout, b, zorder.ZCol{}, tally)
-	return out
-}
-
-// ZSearchGroup is ZSearchBlock for callers that already hold b's
-// Z-address column (the pipeline's encode-once path): when zc has one
-// enc-encoded address per row it is reused verbatim, otherwise the
-// block is encoded here. Returns the skyline block and the matching
-// sub-column of survivor addresses, both compacted so they never pin
-// the input arenas.
-func ZSearchGroup(enc *zorder.Encoder, fanout int, b point.Block, zc zorder.ZCol, tally *metrics.Tally) (point.Block, zorder.ZCol) {
-	if b.Len() == 0 {
-		return point.Block{Dims: b.Dims}, zorder.ZCol{Words: enc.Words()}
-	}
-	var st *Store
-	if zc.Len() == b.Len() && zc.Words == enc.Words() {
-		st = NewStoreWithZCol(enc, b, zc)
-	} else {
-		st = NewStore(enc, b)
-	}
-	rows := BuildStore(st, fanout, tally).SkylineRows()
-	return st.CompactRows(rows)
-}
-
-// BuildFromBlockZ builds a legacy Tree over a block whose Z-addresses
-// were already encoded (one address per row). Entries reference the
-// block's rows and the column's addresses zero-copy; only the grid
-// coordinates are materialized, in one arena, re-quantized from the
-// rows exactly as NewStoreWithZCol does. This is the bridge
-// for long-lived legacy-tree owners (incremental maintenance) to join
-// the encode-once path.
-func BuildFromBlockZ(enc *zorder.Encoder, fanout int, b point.Block, zc zorder.ZCol, tally *metrics.Tally) *Tree {
-	n := b.Len()
-	if zc.Len() != n || zc.Words != enc.Words() {
-		panic(fmt.Sprintf("zbtree: zcol shape %d×%d does not match block %d rows under a %d-word encoder",
-			zc.Len(), zc.Words, n, enc.Words()))
-	}
-	entries := make([]Entry, n)
-	d := enc.Dims()
-	garena := make([]uint32, n*d)
-	for i := 0; i < n; i++ {
-		g := garena[i*d : (i+1)*d : (i+1)*d]
-		enc.GridInto(g, b.Row(i))
-		entries[i] = Entry{Z: zc.At(i), G: g, P: b.Row(i)}
-	}
-	return Build(enc, fanout, entries, tally)
 }

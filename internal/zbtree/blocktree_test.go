@@ -55,10 +55,10 @@ func samePointSet(t *testing.T, label string, got, want []point.Point) {
 	}
 }
 
-// The block-native ZS path must agree point for point with the legacy
-// slice kernel and the brute-force oracle across correlation profiles
-// and dimensionalities (satellite: kernel equivalence).
-func TestZSearchBlockMatchesLegacyAndBruteForce(t *testing.T) {
+// The block-native ZS path must agree point for point with the
+// brute-force oracle across correlation profiles and dimensionalities,
+// with and without a precomputed Z-address column.
+func TestZSearchBlockMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, kind := range []string{"correlated", "independent", "anti"} {
 		for _, d := range []int{2, 3, 5, 7, 10} {
@@ -67,17 +67,14 @@ func TestZSearchBlockMatchesLegacyAndBruteForce(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pts := b.Points()
-			oracle := seq.BruteForce(pts)
-			legacy := BuildFromPoints(enc, 8, pts, nil).Skyline()
-			block := ZSearchBlock(enc, 8, b, nil)
-			samePointSet(t, kind+"/legacy", legacy, oracle)
+			oracle := seq.BruteForce(b.Points())
+			block, _ := ZSearchGroup(nil, enc, 8, b, zorder.ZCol{}, nil)
 			samePointSet(t, kind+"/block", block.Points(), oracle)
 
 			// Encode-once path: a pre-built column must give the same
 			// answer and a consistent survivor column.
 			zc := enc.EncodeBlock(zorder.ZCol{}, b)
-			gBlk, gZC := ZSearchGroup(enc, 8, b, zc, nil)
+			gBlk, gZC := ZSearchGroup(nil, enc, 8, b, zc, nil)
 			samePointSet(t, kind+"/group", gBlk.Points(), oracle)
 			if gZC.Len() != gBlk.Len() {
 				t.Fatalf("%s: survivor zcol %d rows, block %d", kind, gZC.Len(), gBlk.Len())
@@ -91,9 +88,9 @@ func TestZSearchBlockMatchesLegacyAndBruteForce(t *testing.T) {
 	}
 }
 
-// MergeBlock over a shared store must agree with legacy Merge and the
-// brute-force skyline of the union.
-func TestMergeBlockMatchesLegacy(t *testing.T) {
+// mergeBlock over a shared store must agree with the brute-force
+// skyline of the union.
+func TestMergeBlockMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for _, kind := range []string{"correlated", "independent", "anti"} {
 		for _, d := range []int{2, 4, 8} {
@@ -105,52 +102,27 @@ func TestMergeBlockMatchesLegacy(t *testing.T) {
 			b := genBlock(rng, kind, 250, d)
 			skyA := seq.BruteForce(a.Points())
 			skyB := seq.BruteForce(b.Points())
-			want := Merge(BuildFromPoints(enc, 8, skyA, nil),
-				BuildFromPoints(enc, 8, skyB, nil)).Points()
+			want := seq.BruteForce(append(a.Points(), b.Points()...))
 
 			// Shared store over the concatenation of both candidate sets.
-			bb := point.NewBlockBuilder(d, len(skyA)+len(skyB))
-			for _, p := range skyA {
-				bb.Append(p)
+			st, ranges := StoreOf(enc, []point.Block{point.BlockOf(d, skyA), point.BlockOf(d, skyB)}, make([]zorder.ZCol, 2))
+			rowsOf := func(rg [2]int32) []int32 {
+				var rows []int32
+				for i := rg[0]; i < rg[1]; i++ {
+					rows = append(rows, i)
+				}
+				return rows
 			}
-			for _, p := range skyB {
-				bb.Append(p)
+			ta := buildRows(st, 8, nil, rowsOf(ranges[0]), nil)
+			tb := buildRows(st, 8, nil, rowsOf(ranges[1]), nil)
+			merged := mergeBlock(ta, tb)
+			if err := validate(merged); err != nil {
+				t.Fatal(err)
 			}
-			st := NewStore(enc, bb.Build())
-			rowsA := make([]int32, len(skyA))
-			for i := range rowsA {
-				rowsA[i] = int32(i)
-			}
-			rowsB := make([]int32, len(skyB))
-			for i := range rowsB {
-				rowsB[i] = int32(len(skyA) + i)
-			}
-			ta := BuildRows(st, 8, rowsA, nil)
-			tb := BuildRows(st, 8, rowsB, nil)
-			merged := MergeBlock(ta, tb)
 			got, _ := st.CompactRows(merged.Rows())
 			samePointSet(t, kind+"/merge", got.Points(), want)
 		}
 	}
-}
-
-// BuildFromBlockZ must produce a legacy tree indistinguishable from
-// BuildFromPoints over the same rows.
-func TestBuildFromBlockZ(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	b := genBlock(rng, "independent", 200, 6)
-	enc, err := zorder.NewUnitEncoder(6, 14)
-	if err != nil {
-		t.Fatal(err)
-	}
-	zc := enc.EncodeBlock(zorder.ZCol{}, b)
-	tr := BuildFromBlockZ(enc, 8, b, zc, nil)
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	want := BuildFromPoints(enc, 8, b.Points(), nil)
-	samePointSet(t, "entries", tr.Points(), want.Points())
-	samePointSet(t, "skyline", tr.Skyline(), want.Skyline())
 }
 
 // NewStoreWithZCol must reproduce NewStore exactly: same addresses,
@@ -169,10 +141,10 @@ func TestStoreWithZColMatchesNewStore(t *testing.T) {
 		fresh := NewStore(enc, b)
 		reused := NewStoreWithZCol(enc, b, enc.EncodeBlock(zorder.ZCol{}, b))
 		for i := int32(0); i < int32(b.Len()); i++ {
-			if !zorder.Equal(fresh.Z(i), reused.Z(i)) {
+			if !zorder.Equal(fresh.addr(i), reused.addr(i)) {
 				t.Fatalf("%+v row %d: z mismatch", shape, i)
 			}
-			fg, rg, dg := fresh.Grid(i), reused.Grid(i), enc.DecodeGrid(reused.Z(i))
+			fg, rg, dg := fresh.cell(i), reused.cell(i), enc.DecodeGrid(reused.addr(i))
 			for k := range fg {
 				if fg[k] != rg[k] || rg[k] != dg[k] {
 					t.Fatalf("%+v row %d dim %d: grid %d vs %d, address encodes %d", shape, i, k, fg[k], rg[k], dg[k])
@@ -193,10 +165,10 @@ func TestBlockTreeRegionsMatchAddresses(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := NewStore(enc, b)
-		bt := BuildStore(st, 4, nil)
+		bt := BuildStore(st, 4, nil, nil)
 		for n := range bt.nodes {
 			nd := &bt.nodes[n]
-			lo, hi := st.Z(nd.minRow), st.Z(nd.maxRow)
+			lo, hi := st.addr(nd.minRow), st.addr(nd.maxRow)
 			want := enc.RegionOf(lo, hi)
 			got := bt.region(int32(n))
 			for k := 0; k < d; k++ {
@@ -215,7 +187,7 @@ func TestQuickBlockSkylineMatchesOracle(t *testing.T) {
 	f := func(seed int64) bool {
 		pts, enc := quickPoints(seed, 250, 6)
 		want := seq.BruteForce(pts)
-		got := ZSearchBlock(enc, 2+int(uint64(seed)%13), point.BlockOf(enc.Dims(), pts), nil)
+		got, _ := ZSearchGroup(nil, enc, 2+int(uint64(seed)%13), point.BlockOf(enc.Dims(), pts), zorder.ZCol{}, nil)
 		if got.Len() != len(want) {
 			return false
 		}
@@ -232,7 +204,7 @@ func TestQuickBlockSkylineMatchesOracle(t *testing.T) {
 	}
 }
 
-// Quick property: folding MergeBlock over many candidate sets sharing
+// Quick property: folding mergeBlock over many candidate sets sharing
 // one store equals the brute-force skyline of the union.
 func TestQuickMergeBlockFoldMatchesOracle(t *testing.T) {
 	f := func(seed int64) bool {
@@ -245,16 +217,16 @@ func TestQuickMergeBlockFoldMatchesOracle(t *testing.T) {
 		// Partition rows into up to 4 contiguous runs, skyline each, fold.
 		r := rand.New(rand.NewSource(seed ^ 0x9e37))
 		parts := 1 + r.Intn(4)
-		acc := NewBlockTree(st, 8, nil)
+		acc := NewBlockTree(st, 8, nil, nil)
 		for i := 0; i < parts; i++ {
 			lo, hi := i*len(pts)/parts, (i+1)*len(pts)/parts
 			rows := make([]int32, 0, hi-lo)
 			for j := lo; j < hi; j++ {
 				rows = append(rows, int32(j))
 			}
-			part := BuildRows(st, 8, rows, nil)
+			part := buildRows(st, 8, nil, rows, nil)
 			skyRows := part.SkylineRows()
-			acc = MergeBlock(acc, BuildRows(st, 8, skyRows, nil))
+			acc = mergeBlock(acc, buildRows(st, 8, nil, skyRows, nil))
 		}
 		got, _ := st.CompactRows(acc.Rows())
 		want := seq.BruteForce(pts)
@@ -274,8 +246,9 @@ func TestQuickMergeBlockFoldMatchesOracle(t *testing.T) {
 	}
 }
 
-// Appending in Z-order must keep the accumulator equivalent to a bulk
-// build over the same rows.
+// A tree grown by appendRow must hold the bulk build's rows in the same
+// Z-order, and every node region it maintains incrementally must equal
+// the region of the node's boundary addresses.
 func TestBlockTreeAppendMatchesBulk(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	b := genBlock(rng, "independent", 120, 4)
@@ -284,10 +257,10 @@ func TestBlockTreeAppendMatchesBulk(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := NewStore(enc, b)
-	bulk := BuildStore(st, 4, nil)
-	inc := NewBlockTree(st, 4, nil)
+	bulk := BuildStore(st, 4, nil, nil)
+	inc := NewBlockTree(st, 4, nil, nil)
 	for _, row := range bulk.Rows() {
-		inc.Append(row)
+		inc.appendRow(row)
 	}
 	if inc.Len() != bulk.Len() {
 		t.Fatalf("incremental %d rows, bulk %d", inc.Len(), bulk.Len())
@@ -298,10 +271,15 @@ func TestBlockTreeAppendMatchesBulk(t *testing.T) {
 			t.Fatalf("row %d: incremental z-order diverges from bulk", i)
 		}
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-order Append did not panic")
+	for n := range inc.nodes {
+		nd := &inc.nodes[n]
+		want := enc.RegionOf(st.addr(nd.minRow), st.addr(nd.maxRow))
+		got := inc.region(int32(n))
+		for k := range want.MinG {
+			if got.MinG[k] != want.MinG[k] || got.MaxG[k] != want.MaxG[k] {
+				t.Fatalf("node %d dim %d: region [%d,%d], want [%d,%d]",
+					n, k, got.MinG[k], got.MaxG[k], want.MinG[k], want.MaxG[k])
+			}
 		}
-	}()
-	inc.Append(bulk.Rows()[0])
+	}
 }

@@ -16,7 +16,7 @@ func TestSkylineProgressiveMatchesBatch(t *testing.T) {
 		d := 2 + rng.Intn(4)
 		enc := unitEnc(t, d, 6) // coarse grid: force same-address ties
 		pts := randPts(rng, 250, d, 5)
-		tr := BuildFromPoints(enc, 8, pts, nil)
+		tr := treeOf(enc, 8, pts, nil)
 		var got []point.Point
 		for p := range tr.SkylineProgressive(context.Background()) {
 			got = append(got, p)
@@ -26,15 +26,13 @@ func TestSkylineProgressiveMatchesBatch(t *testing.T) {
 }
 
 func TestSkylineProgressiveCancellation(t *testing.T) {
-	rng := rand.New(rand.NewSource(67))
 	enc := unitEnc(t, 2, 16)
 	// Anti-chain: everything is skyline, so the stream is long.
 	var pts []point.Point
 	for i := 0; i < 5000; i++ {
 		pts = append(pts, point.Point{float64(i) / 5000, float64(4999-i) / 5000})
 	}
-	_ = rng
-	tr := BuildFromPoints(enc, 8, pts, nil)
+	tr := treeOf(enc, 8, pts, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	ch := tr.SkylineProgressive(ctx)
@@ -62,7 +60,7 @@ func TestSkylineProgressiveCancellation(t *testing.T) {
 
 func TestSkylineProgressiveEmpty(t *testing.T) {
 	enc := unitEnc(t, 2, 8)
-	tr := New(enc, 4, nil)
+	tr := treeOf(enc, 4, nil, nil)
 	count := 0
 	for range tr.SkylineProgressive(context.Background()) {
 		count++
@@ -78,7 +76,7 @@ func TestRangeQueryMatchesScan(t *testing.T) {
 		d := 2 + rng.Intn(3)
 		enc := unitEnc(t, d, 8)
 		pts := randPts(rng, 300, d, 10)
-		tr := BuildFromPoints(enc, 8, pts, nil)
+		tr := treeOf(enc, 8, pts, nil)
 		lo := make(point.Point, d)
 		hi := make(point.Point, d)
 		for k := 0; k < d; k++ {
@@ -104,7 +102,7 @@ func TestSkylineWithinMatchesOracle(t *testing.T) {
 		d := 2 + rng.Intn(3)
 		enc := unitEnc(t, d, 8)
 		pts := randPts(rng, 300, d, 0)
-		tr := BuildFromPoints(enc, 8, pts, nil)
+		tr := treeOf(enc, 8, pts, nil)
 		lo := make(point.Point, d)
 		hi := make(point.Point, d)
 		for k := 0; k < d; k++ {
@@ -125,7 +123,7 @@ func TestSkylineWithinMatchesOracle(t *testing.T) {
 func TestConstrainedResurrection(t *testing.T) {
 	enc := unitEnc(t, 2, 10)
 	pts := []point.Point{{0.05, 0.05}, {0.5, 0.5}}
-	tr := BuildFromPoints(enc, 4, pts, nil)
+	tr := treeOf(enc, 4, pts, nil)
 	if n := len(tr.Skyline()); n != 1 {
 		t.Fatalf("global skyline = %d", n)
 	}

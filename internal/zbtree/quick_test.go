@@ -38,7 +38,7 @@ func quickPoints(seed int64, maxN, maxD int) ([]point.Point, *zorder.Encoder) {
 func TestQuickBuildIsPermutation(t *testing.T) {
 	f := func(seed int64) bool {
 		pts, enc := quickPoints(seed, 300, 5)
-		tr := BuildFromPoints(enc, 2+int(seed%13+13)%13, pts, nil)
+		tr := treeOf(enc, 2+int(seed%13+13)%13, pts, nil)
 		got := tr.Points()
 		if len(got) != len(pts) {
 			return false
@@ -52,7 +52,7 @@ func TestQuickBuildIsPermutation(t *testing.T) {
 				return false
 			}
 		}
-		return tr.Validate() == nil
+		return validate(tr) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -63,13 +63,13 @@ func TestQuickBuildIsPermutation(t *testing.T) {
 func TestQuickSkylinePermutationInvariant(t *testing.T) {
 	f := func(seed int64) bool {
 		pts, enc := quickPoints(seed, 200, 4)
-		a := ZSearch(enc, 8, pts, nil)
+		a := zsearch(enc, 8, pts, nil)
 		shuffled := append([]point.Point(nil), pts...)
 		r := rand.New(rand.NewSource(seed ^ 0x5a5a))
 		r.Shuffle(len(shuffled), func(i, j int) {
 			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 		})
-		b := ZSearch(enc, 8, shuffled, nil)
+		b := zsearch(enc, 8, shuffled, nil)
 		if len(a) != len(b) {
 			return false
 		}
@@ -87,7 +87,7 @@ func TestQuickSkylinePermutationInvariant(t *testing.T) {
 	}
 }
 
-// Property: Merge is order-insensitive — merging A into B and B into A
+// Property: Z-merge is order-insensitive — merging A into B and B into A
 // yield the same skyline set.
 func TestQuickMergeCommutes(t *testing.T) {
 	f := func(seed int64) bool {
@@ -104,8 +104,8 @@ func TestQuickMergeCommutes(t *testing.T) {
 		}
 		skyA := seq.BruteForce(ptsA)
 		skyB := seq.BruteForce(ptsB)
-		ab := Merge(BuildFromPoints(enc, 8, skyA, nil), BuildFromPoints(enc, 8, skyB, nil)).Points()
-		ba := Merge(BuildFromPoints(enc, 8, skyB, nil), BuildFromPoints(enc, 8, skyA, nil)).Points()
+		ab := mergeOf(enc, 8, nil, nil, skyA, skyB).Points()
+		ba := mergeOf(enc, 8, nil, nil, skyB, skyA).Points()
 		if len(ab) != len(ba) {
 			return false
 		}
@@ -127,8 +127,8 @@ func TestQuickMergeCommutes(t *testing.T) {
 func TestQuickSkylineIdempotent(t *testing.T) {
 	f := func(seed int64) bool {
 		pts, enc := quickPoints(seed, 250, 5)
-		once := ZSearch(enc, 8, pts, nil)
-		twice := ZSearch(enc, 8, once, nil)
+		once := zsearch(enc, 8, pts, nil)
+		twice := zsearch(enc, 8, once, nil)
 		return len(once) == len(twice)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {

@@ -1,11 +1,13 @@
 package zbtree
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"zskyline/internal/dominance"
 	"zskyline/internal/point"
+	"zskyline/internal/zorder"
 )
 
 // underProviders builds one provider of each kind for d-dimensional
@@ -38,8 +40,29 @@ func underProviders(t testing.TB, d int) []dominance.Provider {
 	return []dominance.Provider{dominance.Pareto{}, flex, kdom, robust}
 }
 
-// TestSkylineUnderMatchesOracle pins the capability-gated Z-search to
-// the per-provider brute-force oracle, duplicates included.
+// closeAgainst drops the candidates some point of all dominates under
+// prov — the pipeline's closing verification for non-transitive
+// relations (irreflexivity exempts a candidate's own copies).
+func closeAgainst(prov dominance.Provider, cands, all []point.Point) []point.Point {
+	var out []point.Point
+	for _, c := range cands {
+		ok := true
+		for _, q := range all {
+			if prov.Dominates(q, c) {
+				ok = false
+				break
+			}
+		}
+		if ok {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// TestSkylineUnderMatchesOracle pins the capability-gated Z-search and
+// its progressive form to the per-provider brute-force oracle,
+// duplicates included.
 func TestSkylineUnderMatchesOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	for _, d := range []int{2, 4} {
@@ -49,25 +72,35 @@ func TestSkylineUnderMatchesOracle(t *testing.T) {
 			for i := 0; i < n/10; i++ {
 				pts = append(pts, pts[r.Intn(n)].Clone())
 			}
-			tr := BuildFromPoints(enc, 4, pts, nil)
 			for _, prov := range underProviders(t, d) {
-				got := tr.SkylineUnder(prov)
+				tr := treeOf(enc, 4, pts, prov)
 				want := dominance.BruteForce(prov, pts)
-				sameSet(t, got, want, prov.Name())
+				sameSet(t, tr.Skyline(), want, prov.Name())
+				var streamed []point.Point
+				for p := range tr.SkylineProgressive(context.Background()) {
+					streamed = append(streamed, p)
+				}
+				sameSet(t, streamed, want, prov.Name()+"/progressive")
 			}
 		}
 	}
 }
 
-// TestSkylineUnderParetoFastPath checks the classic relation routes to
-// the hardcoded Z-search and agrees with it exactly.
+// TestSkylineUnderParetoFastPath checks that a nil relation and
+// Pareto{} both select the direct point.Dominates leaf test and agree
+// with the oracle.
 func TestSkylineUnderParetoFastPath(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
 	enc := unitEnc(t, 3, 6)
 	pts := randPts(r, 200, 3, 16)
-	tr := BuildFromPoints(enc, 4, pts, nil)
-	sameSet(t, tr.SkylineUnder(nil), tr.Skyline(), "nil provider")
-	sameSet(t, tr.SkylineUnder(dominance.Pareto{}), tr.Skyline(), "Pareto{}")
+	want := dominance.BruteForce(dominance.Pareto{}, pts)
+	for _, prov := range []dominance.Provider{nil, dominance.Pareto{}} {
+		tr := treeOf(enc, 4, pts, prov)
+		if !tr.pareto || tr.caps != (dominance.Caps{ParetoImplies: true, ImpliesPareto: true, Transitive: true}) {
+			t.Fatalf("%v: pareto=%v caps=%+v, want the fast path with every capability", prov, tr.pareto, tr.caps)
+		}
+		sameSet(t, tr.Skyline(), want, "fast path")
+	}
 }
 
 // TestMergeUnderMatchesOracle merges two local provider skylines and
@@ -82,34 +115,77 @@ func TestMergeUnderMatchesOracle(t *testing.T) {
 	pts := randPts(r, 300, d, 8)
 	half := len(pts) / 2
 	for _, prov := range underProviders(t, d) {
-		left := BuildFromPoints(enc, 4, pts[:half], nil).SkylineUnder(prov)
-		right := BuildFromPoints(enc, 4, pts[half:], nil).SkylineUnder(prov)
-		merged := MergeUnder(prov,
-			BuildFromPoints(enc, 4, left, nil),
-			BuildFromPoints(enc, 4, right, nil)).Points()
+		left := treeOf(enc, 4, pts[:half], prov).Skyline()
+		right := treeOf(enc, 4, pts[half:], prov).Skyline()
+		merged := mergeOf(enc, 4, prov, nil, left, right).Points()
 		want := dominance.BruteForce(prov, pts)
 		if prov.Caps().Transitive {
 			sameSet(t, merged, want, prov.Name())
 			continue
 		}
-		// Candidate superset: every true result point must survive the
-		// pipeline, and verification closes it.
-		closed := verifyAgainst(prov, merged, pts, nil)
-		sameSet(t, closed, want, prov.Name()+" after verify")
+		sameSet(t, closeAgainst(prov, merged, pts), want, prov.Name()+" after verify")
 	}
 }
 
-// TestZSearchBlockUnderMatchesSlice pins the block adapter to the
-// slice path.
-func TestZSearchBlockUnderMatchesSlice(t *testing.T) {
+// TestZSearchGroupUnderReusesColumn pins the encode-once path to the
+// self-encoding one and to the oracle under every provider, and checks
+// the survivor column carries each survivor's own address.
+func TestZSearchGroupUnderReusesColumn(t *testing.T) {
 	r := rand.New(rand.NewSource(14))
 	const d = 4
 	enc := unitEnc(t, d, 6)
 	pts := randPts(r, 250, d, 8)
 	b := point.BlockOf(d, pts)
+	zc := enc.EncodeBlock(zorder.ZCol{}, b)
 	for _, prov := range underProviders(t, d) {
-		got := ZSearchBlockUnder(prov, enc, 4, b, nil).Points()
-		want := ZSearchUnder(prov, enc, 4, pts, nil)
-		sameSet(t, got, want, prov.Name())
+		fresh, _ := ZSearchGroup(prov, enc, 4, b, zorder.ZCol{}, nil)
+		reused, reusedZ := ZSearchGroup(prov, enc, 4, b, zc, nil)
+		want := dominance.BruteForce(prov, pts)
+		sameSet(t, fresh.Points(), want, prov.Name())
+		sameSet(t, reused.Points(), want, prov.Name()+"/encode-once")
+		for i := 0; i < reused.Len(); i++ {
+			if !zorder.Equal(reusedZ.At(i), enc.Encode(reused.Row(i))) {
+				t.Fatalf("%s: survivor %d carries wrong z-address", prov.Name(), i)
+			}
+		}
+	}
+}
+
+// TestQueriesUnderMatchScan pins the capability-gated probe, removal,
+// count and dominator walks to linear scans under every provider.
+func TestQueriesUnderMatchScan(t *testing.T) {
+	r := rand.New(rand.NewSource(15))
+	const d = 3
+	enc := unitEnc(t, d, 6)
+	pts := randPts(r, 200, d, 6)
+	for _, prov := range underProviders(t, d) {
+		for probe := 0; probe < 25; probe++ {
+			q := randPts(r, 1, d, 6)[0]
+			g := enc.Grid(q)
+			var dominators, survivors []point.Point
+			dominated := 0
+			for _, p := range pts {
+				if prov.Dominates(p, q) {
+					dominators = append(dominators, p)
+				}
+				if prov.Dominates(q, p) {
+					dominated++
+				} else {
+					survivors = append(survivors, p)
+				}
+			}
+			tr := treeOf(enc, 4, pts, prov)
+			if got := tr.DominatesPoint(g, q); got != (len(dominators) > 0) {
+				t.Fatalf("%s: DominatesPoint(%v) = %v", prov.Name(), q, got)
+			}
+			sameSet(t, tr.DominatorsOf(g, q), dominators, prov.Name()+"/dominators")
+			if got := tr.CountDominatedBy(g, q); got != dominated {
+				t.Fatalf("%s: CountDominatedBy(%v) = %d, want %d", prov.Name(), q, got, dominated)
+			}
+			if got := tr.RemoveDominatedBy(g, q); got != dominated {
+				t.Fatalf("%s: RemoveDominatedBy(%v) = %d, want %d", prov.Name(), q, got, dominated)
+			}
+			sameSet(t, tr.Points(), survivors, prov.Name()+"/survivors")
+		}
 	}
 }

@@ -375,22 +375,6 @@ func GridStrictDominates(a, b []uint32) bool {
 	return true
 }
 
-// GridDominatesWeak reports a[i] <= b[i] for every dimension with at
-// least one strict. This does NOT certify float dominance; it is used
-// only where an exact leaf-level check follows.
-func GridDominatesWeak(a, b []uint32) bool {
-	strict := false
-	for i := range a {
-		if a[i] > b[i] {
-			return false
-		}
-		if a[i] < b[i] {
-			strict = true
-		}
-	}
-	return strict
-}
-
 // GridSomeGreater reports whether a[i] > b[i] in at least one
 // dimension. If region-min a has some dimension strictly above point
 // grid b, no float point of the region can dominate any float point of
@@ -416,12 +400,6 @@ func RegionDominatesRegion(a, b Region) bool {
 // each region's min exceeds the other's max in some dimension.
 func RegionsIncomparable(a, b Region) bool {
 	return GridSomeGreater(a.MinG, b.MaxG) && GridSomeGreater(b.MinG, a.MaxG)
-}
-
-// RegionPartiallyDominates reports Lemma 1 case 3: a is not a full
-// dominator of b, but a's best corner could dominate part of b.
-func RegionPartiallyDominates(a, b Region) bool {
-	return !RegionDominatesRegion(a, b) && !GridSomeGreater(a.MinG, b.MaxG)
 }
 
 // PointGridDominatesRegion reports that a float point with grid
