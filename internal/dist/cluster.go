@@ -11,7 +11,6 @@ import (
 	"zskyline/internal/partition"
 	"zskyline/internal/plan"
 	"zskyline/internal/point"
-	"zskyline/internal/transport"
 	"zskyline/internal/zorder"
 )
 
@@ -264,9 +263,9 @@ func NewCluster(ctx context.Context, cfg ClusterConfig, groups [][]string) (*Clu
 	for i, s := range smap.Shards {
 		ok := 0
 		for _, w := range c.groups[s.Group] {
-			err := c.callOn(ctx, w, s.ID, "Worker.StoreShard",
+			_, err := inner.call(ctx, "Worker.StoreShard",
 				StoreShardArgs{RuleID: c.ruleID, MapVersion: smap.Version, ShardID: s.ID},
-				&StoreShardReply{})
+				&StoreShardReply{}, c.pinned(w, s.ID))
 			if err != nil {
 				c.markShardStale(s.ID, w)
 				continue
@@ -321,6 +320,12 @@ func (c *Cluster) shardPolicy(sid int) *policy {
 		return p
 	}
 	return &c.inner.pol
+}
+
+// pinned is the options of a replica-addressed call on member w under
+// shard sid's policy: writes and handoff steps have no failover.
+func (c *Cluster) pinned(w, sid int) callOpts {
+	return callOpts{first: w, pinned: true, pol: c.shardPolicy(sid)}
 }
 
 // shardLock returns the per-shard insert/handoff mutex.
@@ -430,7 +435,7 @@ func (c *Cluster) insertShard(ctx context.Context, sid int, g plan.Group) error 
 		BlockFrame: blockFrame, ZFrame: zFrame}
 	ok := 0
 	for mi, w := range members {
-		if err := c.callOn(ctx, w, sid, "Worker.StoreShard", args, &StoreShardReply{}); err != nil {
+		if _, err := c.inner.call(ctx, "Worker.StoreShard", args, &StoreShardReply{}, c.pinned(w, sid)); err != nil {
 			fatal := classify(err) == classFatal
 			if fatal || ctx.Err() != nil {
 				// Aborting mid-replication must not leave replicas that
@@ -467,38 +472,6 @@ func (c *Cluster) insertShard(ctx context.Context, sid int, g plan.Group) error 
 	c.mu.Unlock()
 	c.inner.reg.Gauge("zsky_shard_points", obs.L("shard", fmt.Sprint(sid))).Set(float64(total))
 	return nil
-}
-
-// callOn issues one method on one specific worker with bounded retries
-// pinned to it — replica-addressed writes have no failover: the write
-// must land on that member or the member goes stale.
-func (c *Cluster) callOn(ctx context.Context, w, sid int, method string, args transport.Marshaler, reply transport.Unmarshaler) error {
-	pol := c.shardPolicy(sid)
-	sp, ev, done := c.inner.startRPC(ctx, method)
-	var err error
-	for attempt := 0; ; attempt++ {
-		_, err = c.inner.attempt(ctx, method, args, reply, w, callOpts{pol: pol, sp: sp, ev: ev})
-		ev.SetAttempts(attempt + 1)
-		if err == nil || ctx.Err() != nil {
-			break
-		}
-		class := classify(err)
-		c.inner.reg.Counter("zsky_dist_rpc_errors_total",
-			obs.L("method", method), obs.L("class", className(class))).Add(1)
-		if class == classFatal || class == classShardMoved || attempt >= pol.retries {
-			break
-		}
-		if class == classRuleMissing {
-			if rerr := c.inner.resendRule(ctx, w); rerr != nil {
-				break
-			}
-			continue
-		}
-		c.inner.reg.Counter("zsky_dist_retries_total", obs.L("method", method)).Add(1)
-		sleep(ctx, c.inner.bo.delay(pol, attempt))
-	}
-	done(w, err)
-	return err
 }
 
 // ---- queries ----
@@ -622,99 +595,15 @@ func (c *Cluster) shardSkyline(ctx context.Context, sid int, rng zorder.Range, f
 			args.Lo, args.Hi = rng.Lo, rng.Hi
 		}
 		var reply ShardSkyReply
-		sp, ev, done := c.inner.startRPC(ctx, "Worker.ShardSkyline")
-		served, err := c.callShard(ctx, pol, "Worker.ShardSkyline", args, &reply, members, sp, ev)
+		_, err := c.inner.call(ctx, "Worker.ShardSkyline", args, &reply,
+			callOpts{pool: members, hedge: true, pol: pol})
 		if err == nil {
-			done(served, nil)
 			return reply.Group, nil
 		}
-		done(served, err)
 		if classify(err) == classShardMoved && hop < maxHops {
 			continue
 		}
 		return plan.Group{}, err
-	}
-}
-
-// callShard is the group-restricted analogue of Coordinator.call:
-// retries rotate over the pool members only, hedge legs stay inside
-// the pool, and exhaustion of the pool (all members dead) is
-// ErrShardDown rather than ErrClusterDown.
-func (c *Cluster) callShard(ctx context.Context, pol *policy, method string, args transport.Marshaler, reply transport.Unmarshaler, pool []int, sp *obs.Span, ev *obs.Event) (int, error) {
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return -1, err
-		}
-		w, err := c.pickLiveIn(ctx, pool, attempt)
-		if err != nil {
-			if lastErr != nil {
-				return -1, fmt.Errorf("dist: %s: %v: %w", method, lastErr, err)
-			}
-			return -1, fmt.Errorf("dist: %s: %w", method, err)
-		}
-		served, err := c.inner.attempt(ctx, method, args, reply, w,
-			callOpts{pol: pol, hedge: true, pool: pool, sp: sp, ev: ev})
-		ev.SetAttempts(attempt + 1)
-		if err == nil {
-			return served, nil
-		}
-		lastErr = err
-		class := classify(err)
-		c.inner.reg.Counter("zsky_dist_rpc_errors_total",
-			obs.L("method", method), obs.L("class", className(class))).Add(1)
-		if class == classFatal || class == classShardMoved || ctx.Err() != nil {
-			return served, err
-		}
-		if class == classRuleMissing && served >= 0 {
-			if rerr := c.inner.resendRule(ctx, served); rerr != nil {
-				c.inner.markSuspect(served)
-			}
-		}
-		if attempt >= pol.retries {
-			return served, fmt.Errorf("dist: %s: attempts exhausted: %w", method, lastErr)
-		}
-		c.inner.reg.Counter("zsky_dist_retries_total", obs.L("method", method)).Add(1)
-		sleep(ctx, c.inner.bo.delay(pol, attempt))
-	}
-}
-
-// pickLiveIn returns a live worker from pool, rotating by rotation,
-// waiting out windows where members are suspect/resurrecting. It fails
-// with ErrShardDown once every pool member is confirmed dead.
-func (c *Cluster) pickLiveIn(ctx context.Context, pool []int, rotation int) (int, error) {
-	in := c.inner
-	for {
-		in.mu.Lock()
-		if in.closed {
-			in.mu.Unlock()
-			return -1, errCoordinatorClosed
-		}
-		for i := 0; i < len(pool); i++ {
-			w := pool[(rotation+i)%len(pool)]
-			if in.state[w] == wsLive {
-				in.mu.Unlock()
-				return w, nil
-			}
-		}
-		allDead := true
-		for _, w := range pool {
-			if in.state[w] != wsDead {
-				allDead = false
-				break
-			}
-		}
-		if allDead {
-			in.mu.Unlock()
-			return -1, ErrShardDown
-		}
-		ch := in.changed
-		in.mu.Unlock()
-		select {
-		case <-ctx.Done():
-			return -1, ctx.Err()
-		case <-ch:
-		}
 	}
 }
 
@@ -725,7 +614,7 @@ func (c *Cluster) ShardStats(ctx context.Context) map[string]ShardStatsReply {
 	out := make(map[string]ShardStatsReply)
 	for w, addr := range c.inner.addrs {
 		var reply ShardStatsReply
-		if _, err := c.inner.attempt(ctx, "Worker.ShardStats", ShardStatsArgs{}, &reply, w, callOpts{}); err == nil {
+		if _, err := c.inner.call(ctx, "Worker.ShardStats", ShardStatsArgs{}, &reply, c.inner.offer(w)); err == nil {
 			out[addr] = reply
 		}
 	}

@@ -269,7 +269,7 @@ func TestClusterHandoffSeveredMidStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wa, err := StartWorkerWithFaults("127.0.0.1:0", faults)
+	wa, err := StartWorkerWithOptions("127.0.0.1:0", WorkerOptions{Faults: faults})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -582,7 +582,7 @@ func TestClusterHandoffRetryAfterAbortedStage(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { src.Close() })
-	dst, err := StartWorkerWithFaults("127.0.0.1:0", faults)
+	dst, err := StartWorkerWithOptions("127.0.0.1:0", WorkerOptions{Faults: faults})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"reflect"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -237,6 +236,7 @@ var stateNames = [...]string{"live", "suspect", "dead", "resurrecting"}
 type Coordinator struct {
 	cfg    CoordinatorConfig
 	pol    policy
+	once   policy // pol with no retries, for pinned single-attempt offers
 	addrs  []string
 	wire   []*wireCounter
 	salt   uint64
@@ -290,6 +290,8 @@ func NewCoordinator(cfg CoordinatorConfig, workerAddrs []string) (*Coordinator, 
 		changed:  make(chan struct{}),
 		stop:     make(chan struct{}),
 	}
+	c.once = c.pol
+	c.once.retries = 0
 	for _, addr := range workerAddrs {
 		conn, err := net.DialTimeout("tcp", addr, c.pol.dialTimeout)
 		if err != nil {
@@ -429,41 +431,6 @@ func (c *Coordinator) Skyline(ctx context.Context, ds *point.Dataset) ([]point.P
 	return sky, rep, nil
 }
 
-// startRPC opens one per-RPC child span under ctx's current span and
-// one "rpc" event joined to the owning query via ctx's request ID.
-// The call layer (attempt) annotates both with the exact on-wire
-// request and response frame sizes of the serving leg — measured from
-// the frame headers, never estimated. The returned closure records the
-// serving worker (post-failover) and outcome, ends the span, and
-// commits the event (errors bypass sampling); span and event are
-// handed to the call layer so retry and hedge attempts show up on
-// both. Events record even with tracing off — the span is simply nil
-// then, and every span method tolerates that.
-func (c *Coordinator) startRPC(ctx context.Context, method string) (*obs.Span, *obs.Event, func(worker int, err error)) {
-	sp := obs.SpanFrom(ctx).Child("rpc/" + method)
-	ev := &obs.Event{
-		ID:     obs.NewRequestID(),
-		Parent: obs.RequestIDFrom(ctx),
-		Kind:   "rpc",
-		Route:  method,
-	}
-	start := time.Now()
-	return sp, ev, func(worker int, err error) {
-		if worker >= 0 && worker < len(c.addrs) {
-			sp.SetAttr("worker", c.addrs[worker])
-			ev.Worker = c.addrs[worker]
-		}
-		sp.End()
-		ev.DurationMS = float64(time.Since(start).Microseconds()) / 1000
-		if err != nil {
-			ev.SetError(className(classify(err)), err.Error())
-			c.events.RecordForced(*ev)
-			return
-		}
-		c.events.Record(*ev)
-	}
-}
-
 // ---- liveness state machine ----
 
 // signalLocked wakes every goroutine waiting for a state or inflight
@@ -557,41 +524,6 @@ func (c *Coordinator) release(w int) {
 	}
 	c.signalLocked()
 	c.mu.Unlock()
-}
-
-// pickLiveWait returns a live worker, preferring pref, waiting out
-// windows where every worker is suspect/resurrecting. It fails with
-// ErrClusterDown once all workers are confirmed dead.
-func (c *Coordinator) pickLiveWait(ctx context.Context, pref int) (int, error) {
-	n := len(c.addrs)
-	if pref < 0 || pref >= n {
-		pref = 0
-	}
-	for {
-		c.mu.Lock()
-		if c.closed {
-			c.mu.Unlock()
-			return -1, errCoordinatorClosed
-		}
-		for i := 0; i < n; i++ {
-			w := (pref + i) % n
-			if c.state[w] == wsLive {
-				c.mu.Unlock()
-				return w, nil
-			}
-		}
-		if c.allDownLocked() {
-			c.mu.Unlock()
-			return -1, ErrClusterDown
-		}
-		ch := c.changed
-		c.mu.Unlock()
-		select {
-		case <-ctx.Done():
-			return -1, ctx.Err()
-		case <-ch:
-		}
-	}
 }
 
 // pickLiveExcept returns a live worker other than skip for hedging,
@@ -745,227 +677,6 @@ func (c *Coordinator) callDirect(cl *transport.Client, method string, args trans
 	return err
 }
 
-// ---- the retrying, hedging call layer ----
-
-// callOpts tunes one coordinator call.
-type callOpts struct {
-	// preferred is the worker the scheduler reserved for this task; a
-	// retry rotates onward from it.
-	preferred int
-	// hedge allows a speculative duplicate on a second worker after
-	// the policy's hedge delay (reduce/merge tasks only: they are
-	// idempotent and few, so duplicates are cheap insurance).
-	hedge bool
-	// pol, when non-nil, overrides the coordinator's policy for this
-	// call — how the sharded tier applies per-shard timeout/retry/hedge
-	// settings without forking the call layer.
-	pol *policy
-	// pool, when non-nil, restricts hedge legs to these worker indices
-	// — shard calls must hedge inside the owning group, since only its
-	// members hold the data.
-	pool []int
-	// sp, when non-nil, collects attempt/hedge attributes.
-	sp *obs.Span
-	// ev, when non-nil, collects attempt/hedge detail on the RPC's
-	// event record.
-	ev *obs.Event
-}
-
-// pickPolicy resolves a call's effective policy.
-func (c *Coordinator) pickPolicy(opt callOpts) *policy {
-	if opt.pol != nil {
-		return opt.pol
-	}
-	return &c.pol
-}
-
-// call invokes one worker method under the full policy: per-attempt
-// deadline, classification, bounded retries with jittered backoff,
-// failover to live workers, optional hedging, and rule re-broadcast
-// when a worker answers "rule not loaded". It returns the index of the
-// worker that served the call.
-func (c *Coordinator) call(ctx context.Context, method string, args transport.Marshaler, reply transport.Unmarshaler, opt callOpts) (int, error) {
-	var lastErr error
-	pol := c.pickPolicy(opt)
-	pref := opt.preferred
-	for attempt := 0; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return -1, err
-		}
-		w, err := c.pickLiveWait(ctx, pref)
-		if err != nil {
-			if errors.Is(err, ErrClusterDown) {
-				if lastErr != nil {
-					return -1, fmt.Errorf("dist: %s: %v: %w", method, lastErr, ErrClusterDown)
-				}
-				return -1, fmt.Errorf("dist: %s: %w", method, ErrClusterDown)
-			}
-			return -1, err
-		}
-		served, err := c.attempt(ctx, method, args, reply, w, opt)
-		opt.ev.SetAttempts(attempt + 1)
-		if err == nil {
-			if attempt > 0 {
-				opt.sp.SetAttr("attempts", attempt+1)
-			}
-			return served, nil
-		}
-		lastErr = err
-		class := classify(err)
-		c.reg.Counter("zsky_dist_rpc_errors_total",
-			obs.L("method", method), obs.L("class", className(class))).Add(1)
-		if class == classFatal || ctx.Err() != nil {
-			return served, err
-		}
-		if class == classRuleMissing && served >= 0 {
-			// The worker is alive but lost the rule (e.g. a process
-			// restarted at the same address between sweeps): reinstall
-			// and let the retry land on it.
-			if rerr := c.resendRule(ctx, served); rerr != nil {
-				c.markSuspect(served)
-			}
-		}
-		if attempt >= pol.retries {
-			return served, fmt.Errorf("dist: %s: attempts exhausted: %w", method, lastErr)
-		}
-		c.reg.Counter("zsky_dist_retries_total", obs.L("method", method)).Add(1)
-		sleep(ctx, c.bo.delay(pol, attempt))
-		if served >= 0 {
-			pref = (served + 1) % len(c.addrs)
-		}
-	}
-}
-
-func className(class errClass) string {
-	switch class {
-	case classRetryable:
-		return "retryable"
-	case classRuleMissing:
-		return "rule-missing"
-	case classShardMoved:
-		return "shard-moved"
-	default:
-		return "fatal"
-	}
-}
-
-// legRes is one attempt leg's outcome. call carries the finished
-// transport call so the winner's exact frame sizes reach the span and
-// event.
-type legRes struct {
-	w    int
-	rv   transport.Unmarshaler
-	call *transport.Call
-	err  error
-}
-
-// attempt runs one (possibly hedged) attempt of a call. Each leg gets
-// a fresh reply value so an abandoned straggler reply can never race a
-// retry writing the caller's reply; the winner is copied out, along
-// with its measured request/response frame sizes.
-func (c *Coordinator) attempt(ctx context.Context, method string, args transport.Marshaler, reply transport.Unmarshaler, primary int, opt callOpts) (int, error) {
-	id, err := methodID(method)
-	if err != nil {
-		return -1, err
-	}
-	pol := c.pickPolicy(opt)
-	resCh := make(chan legRes, 2)
-	leg := func(w int) {
-		cl := c.client(w)
-		if cl == nil {
-			resCh <- legRes{w: w, err: errNotConnected}
-			return
-		}
-		rv := newReplyLike(reply)
-		call := cl.Go(id, args, rv, make(chan *transport.Call, 1))
-		var timeout <-chan time.Time
-		if pol.rpcTimeout > 0 {
-			t := time.NewTimer(pol.rpcTimeout)
-			defer t.Stop()
-			timeout = t.C
-		}
-		select {
-		case done := <-call.Done:
-			resCh <- legRes{w: w, rv: rv, call: done, err: done.Err}
-		case <-timeout:
-			resCh <- legRes{w: w, err: errAttemptTimeout}
-		case <-ctx.Done():
-			resCh <- legRes{w: w, err: ctx.Err()}
-		}
-	}
-	go leg(primary)
-	legs := 1
-	var hedgeC <-chan time.Time
-	if opt.hedge && pol.hedge > 0 {
-		t := time.NewTimer(pol.hedge)
-		defer t.Stop()
-		hedgeC = t.C
-	}
-	var lastErr error
-	lastW := primary
-	for {
-		select {
-		case r := <-resCh:
-			if r.err == nil {
-				copyReply(reply, r.rv)
-				if r.call != nil {
-					opt.sp.SetAttr("req_bytes", r.call.ReqBytes)
-					opt.sp.SetAttr("resp_bytes", r.call.RespBytes)
-					opt.ev.SetWire(r.call.ReqBytes, r.call.RespBytes)
-				}
-				if r.w != primary {
-					c.reg.Counter("zsky_dist_hedge_wins_total", obs.L("method", method)).Add(1)
-					opt.sp.SetAttr("hedge_win", c.addrs[r.w])
-				}
-				return r.w, nil
-			}
-			if classify(r.err) == classRetryable {
-				c.markSuspect(r.w)
-			}
-			lastErr, lastW = r.err, r.w
-			if legs--; legs == 0 {
-				return lastW, lastErr
-			}
-		case <-hedgeC:
-			hedgeC = nil
-			if w2, ok := c.pickLiveExcept(primary, opt.pool); ok {
-				c.reg.Counter("zsky_dist_hedges_total", obs.L("method", method)).Add(1)
-				opt.sp.SetAttr("hedged", c.addrs[w2])
-				opt.ev.SetHedged()
-				go leg(w2)
-				legs++
-			}
-		case <-ctx.Done():
-			return lastW, ctx.Err()
-		}
-	}
-}
-
-// newReplyLike allocates a fresh zero value of reply's pointee type.
-// Reply values are always pointers to wire structs, so the fresh value
-// satisfies the same Unmarshaler interface.
-func newReplyLike(reply transport.Unmarshaler) transport.Unmarshaler {
-	return reflect.New(reflect.TypeOf(reply).Elem()).Interface().(transport.Unmarshaler)
-}
-
-// copyReply copies the winning leg's reply into the caller's.
-func copyReply(dst, src transport.Unmarshaler) {
-	reflect.ValueOf(dst).Elem().Set(reflect.ValueOf(src).Elem())
-}
-
-// resendRule reinstalls the current rule on one worker.
-func (c *Coordinator) resendRule(ctx context.Context, w int) error {
-	c.mu.Lock()
-	blob := c.lastRule
-	c.mu.Unlock()
-	if blob == nil {
-		return fmt.Errorf("dist: no rule to re-broadcast")
-	}
-	var ack LoadRuleReply
-	_, err := c.attempt(ctx, "Worker.LoadRule", LoadRuleArgs{Rule: *blob}, &ack, w, callOpts{})
-	return err
-}
-
 // ---- executor plumbing ----
 
 // rpcExec is the plan.Executor that fans tasks out over the
@@ -990,17 +701,12 @@ func (ex *rpcExec) Broadcast(ctx context.Context, r *plan.Rule) error {
 // RunMaps implements plan.Executor via Worker.MapChunk RPCs.
 func (ex *rpcExec) RunMaps(ctx context.Context, _ *plan.Rule, chunks []point.Block, _ *metrics.Tally) ([]plan.MapOutput, error) {
 	outs := make([]plan.MapOutput, len(chunks))
-	err := ex.c.forEach(ctx, len(chunks), func(i, worker int) error {
-		sp, ev, done := ex.c.startRPC(ctx, "Worker.MapChunk")
+	err := forEach(ctx, ex.c, upTo(len(chunks)), func(i, worker int) error {
 		var reply MapReply
-		served, err := ex.c.call(ctx, "Worker.MapChunk",
-			MapArgs{RuleID: ex.ruleID, Block: chunks[i]}, &reply,
-			callOpts{preferred: worker, sp: sp, ev: ev})
-		if err != nil {
-			done(served, err)
+		if _, err := ex.c.call(ctx, "Worker.MapChunk", MapArgs{RuleID: ex.ruleID, Block: chunks[i]},
+			&reply, callOpts{first: worker}); err != nil {
 			return err
 		}
-		done(served, nil)
 		outs[i] = plan.MapOutput{Groups: reply.Groups, Filtered: reply.Filtered}
 		return nil
 	})
@@ -1010,17 +716,12 @@ func (ex *rpcExec) RunMaps(ctx context.Context, _ *plan.Rule, chunks []point.Blo
 // RunReduces implements plan.Executor via Worker.ReduceGroup RPCs.
 func (ex *rpcExec) RunReduces(ctx context.Context, _ *plan.Rule, groups []plan.Group, _ *metrics.Tally) ([]plan.Group, error) {
 	outs := make([]plan.Group, len(groups))
-	err := ex.c.forEach(ctx, len(groups), func(i, worker int) error {
-		sp, ev, done := ex.c.startRPC(ctx, "Worker.ReduceGroup")
+	err := forEach(ctx, ex.c, upTo(len(groups)), func(i, worker int) error {
 		var reply ReduceReply
-		served, err := ex.c.call(ctx, "Worker.ReduceGroup",
-			ReduceArgs{RuleID: ex.ruleID, Group: groups[i]}, &reply,
-			callOpts{preferred: worker, hedge: true, sp: sp, ev: ev})
-		if err != nil {
-			done(served, err)
+		if _, err := ex.c.call(ctx, "Worker.ReduceGroup", ReduceArgs{RuleID: ex.ruleID, Group: groups[i]},
+			&reply, callOpts{first: worker, hedge: true}); err != nil {
 			return err
 		}
-		done(served, nil)
 		outs[i] = reply.Candidates
 		outs[i].Gid = groups[i].Gid
 		return nil
@@ -1036,23 +737,18 @@ func (ex *rpcExec) RunReduces(ctx context.Context, _ *plan.Rule, groups []plan.G
 func (ex *rpcExec) RunMerges(ctx context.Context, _ *plan.Rule, tasks [][]plan.Group, _ *metrics.Tally) ([]plan.Group, error) {
 	outs := make([]plan.Group, len(tasks))
 	mergeOne := func(i, worker int) error {
-		sp, ev, done := ex.c.startRPC(ctx, "Worker.MergeGroups")
 		var merged MergeReply
-		served, err := ex.c.call(ctx, "Worker.MergeGroups",
-			MergeArgs{RuleID: ex.ruleID, Groups: tasks[i]}, &merged,
-			callOpts{preferred: worker, hedge: true, sp: sp, ev: ev})
-		if err != nil {
-			done(served, err)
+		if _, err := ex.c.call(ctx, "Worker.MergeGroups", MergeArgs{RuleID: ex.ruleID, Groups: tasks[i]},
+			&merged, callOpts{first: worker, hedge: true}); err != nil {
 			return err
 		}
-		done(served, nil)
 		outs[i] = merged.Skyline
 		return nil
 	}
 	if len(tasks) == 1 {
 		return outs, mergeOne(0, 0)
 	}
-	return outs, ex.c.forEach(ctx, len(tasks), mergeOne)
+	return outs, forEach(ctx, ex.c, upTo(len(tasks)), mergeOne)
 }
 
 // broadcast installs the rule on every live worker and records it as
@@ -1084,14 +780,7 @@ func (c *Coordinator) broadcast(ctx context.Context, blob RuleBlob) error {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				sp, ev, done := c.startRPC(ctx, "Worker.LoadRule")
-				// Broadcast offers are single attempts (a worker that
-				// misses the rule gets it on resurrection instead).
-				ev.SetAttempts(1)
-				var ack LoadRuleReply
-				served, err := c.attempt(ctx, "Worker.LoadRule",
-					LoadRuleArgs{Rule: blob}, &ack, w, callOpts{sp: sp, ev: ev})
-				done(served, err)
+				_, err := c.call(ctx, "Worker.LoadRule", LoadRuleArgs{Rule: blob}, &LoadRuleReply{}, c.offer(w))
 				mu.Lock()
 				defer mu.Unlock()
 				if err == nil {
@@ -1132,15 +821,15 @@ func (c *Coordinator) broadcast(ctx context.Context, blob RuleBlob) error {
 	}
 }
 
-// forEach fans n tasks out over the live workers with bounded
-// concurrency (one in-flight task per live worker) and failover.
-// Admission tracks the liveness state machine: resurrected workers
-// rejoin the rotation mid-phase, and admission only fails once every
-// worker is confirmed dead.
-func (c *Coordinator) forEach(ctx context.Context, n int, f func(task, worker int) error) error {
-	if n == 0 {
-		return nil
-	}
+// forEach pulls tasks from next and runs f on each over the live
+// workers with bounded concurrency (one in-flight task per live
+// worker) and failover. A task is pulled before its worker is
+// reserved, so at most one task per worker plus the one waiting for
+// admission is held at any moment. Admission tracks the liveness state
+// machine: resurrected workers rejoin the rotation mid-phase, and
+// admission only fails once every worker is confirmed dead. The first
+// error (from next, admission or a task) stops the pulls.
+func forEach[T any](ctx context.Context, c *Coordinator, next func() (T, bool, error), f func(task T, worker int) error) error {
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
@@ -1153,11 +842,19 @@ func (c *Coordinator) forEach(ctx context.Context, n int, f func(task, worker in
 		}
 		mu.Unlock()
 	}
-	for i := 0; i < n; i++ {
+	for i := 0; ; i++ {
 		mu.Lock()
 		stop := firstErr != nil
 		mu.Unlock()
 		if stop {
+			break
+		}
+		task, ok, err := next()
+		if err != nil {
+			fail(err)
+			break
+		}
+		if !ok {
 			break
 		}
 		worker, err := c.acquire(ctx)
@@ -1166,14 +863,26 @@ func (c *Coordinator) forEach(ctx context.Context, n int, f func(task, worker in
 			break
 		}
 		wg.Add(1)
-		go func(i, worker int) {
+		go func(i int, task T, worker int) {
 			defer wg.Done()
 			defer c.release(worker)
-			if err := f(i, worker); err != nil {
+			if err := f(task, worker); err != nil {
 				fail(fmt.Errorf("dist: task %d: %w", i, err))
 			}
-		}(i, worker)
+		}(i, task, worker)
 	}
 	wg.Wait()
 	return firstErr
+}
+
+// upTo is the pull iterator over the task indices 0..n-1.
+func upTo(n int) func() (int, bool, error) {
+	i := 0
+	return func() (int, bool, error) {
+		if i == n {
+			return 0, false, nil
+		}
+		i++
+		return i - 1, true, nil
+	}
 }

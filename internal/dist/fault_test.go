@@ -162,7 +162,7 @@ func TestWorkerDiesMidReduceAndRecovers(t *testing.T) {
 	var addrs []string
 	var servers []*WorkerServer
 	for _, p := range []*FaultPlan{slow, slow2, dying} {
-		ws, err := StartWorkerWithFaults("127.0.0.1:0", p)
+		ws, err := StartWorkerWithOptions("127.0.0.1:0", WorkerOptions{Faults: p})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,7 +223,7 @@ func TestAllWorkersFlap(t *testing.T) {
 	var plans []*FaultPlan
 	for i := 0; i < 2; i++ {
 		p := NewFaultPlan(FaultRule{Method: "Worker.MapChunk", Nth: 2, Action: FaultSever})
-		ws, err := StartWorkerWithFaults("127.0.0.1:0", p)
+		ws, err := StartWorkerWithOptions("127.0.0.1:0", WorkerOptions{Faults: p})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,7 +258,7 @@ func TestAllWorkersFlap(t *testing.T) {
 // must be rescued by the per-attempt deadline and retried elsewhere.
 func TestDropRescuedByDeadline(t *testing.T) {
 	p := NewFaultPlan(FaultRule{Method: "Worker.ReduceGroup", Nth: 1, Action: FaultDrop})
-	ws, err := StartWorkerWithFaults("127.0.0.1:0", p)
+	ws, err := StartWorkerWithOptions("127.0.0.1:0", WorkerOptions{Faults: p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +300,7 @@ func TestDropRescuedByDeadline(t *testing.T) {
 // worker answers and the query finishes far sooner.
 func TestHedgeBeatsStraggler(t *testing.T) {
 	p := NewFaultPlan(FaultRule{Method: "Worker.MergeGroups", Nth: 1, Action: FaultDelay, Delay: 2 * time.Second})
-	ws, err := StartWorkerWithFaults("127.0.0.1:0", p)
+	ws, err := StartWorkerWithOptions("127.0.0.1:0", WorkerOptions{Faults: p})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -152,9 +152,8 @@ func (c *Coordinator) scanFile(path string) (dims int, n int64, mins, maxs []flo
 	return dims, n, mins, maxs, res.Sample(), nil
 }
 
-// streamMap streams the file's chunks to the workers with bounded
-// in-flight RPCs (one per worker connection), so coordinator memory
-// holds at most workers+1 batches at any moment.
+// streamMap streams the file's chunks to the workers through forEach,
+// so coordinator memory holds at most workers+1 batches at any moment.
 func (c *Coordinator) streamMap(ctx context.Context, path string, ruleID uint64) ([]plan.MapOutput, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -165,61 +164,30 @@ func (c *Coordinator) streamMap(ctx context.Context, path string, ruleID uint64)
 	if err != nil {
 		return nil, err
 	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-		outs     []plan.MapOutput
-	)
-	for {
+	next := func() (point.Block, bool, error) {
 		batch, err := br.NextBlock(c.cfg.ChunkSize)
 		if err == io.EOF {
-			break
+			return batch, false, nil
 		}
-		if err != nil {
-			wg.Wait()
-			return nil, err
+		return batch, err == nil, err
+	}
+	var (
+		mu   sync.Mutex
+		outs []plan.MapOutput
+	)
+	err = forEach(ctx, c, next, func(batch point.Block, worker int) error {
+		var reply MapReply
+		if _, err := c.call(ctx, "Worker.MapChunk", MapArgs{RuleID: ruleID, Block: batch},
+			&reply, callOpts{first: worker}); err != nil {
+			return err
 		}
 		mu.Lock()
-		stop := firstErr != nil
+		outs = append(outs, plan.MapOutput{Groups: reply.Groups, Filtered: reply.Filtered})
 		mu.Unlock()
-		if stop {
-			break
-		}
-		// Admission rides the liveness state machine: a resurrected
-		// worker rejoins the streaming rotation mid-file.
-		worker, err := c.acquire(ctx)
-		if err != nil {
-			wg.Wait()
-			return nil, err
-		}
-		wg.Add(1)
-		go func(batch point.Block, worker int) {
-			defer wg.Done()
-			defer c.release(worker)
-			sp, ev, done := c.startRPC(ctx, "Worker.MapChunk")
-			var reply MapReply
-			served, err := c.call(ctx, "Worker.MapChunk",
-				MapArgs{RuleID: ruleID, Block: batch}, &reply,
-				callOpts{preferred: worker, sp: sp, ev: ev})
-			if err != nil {
-				done(served, err)
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-				return
-			}
-			done(served, nil)
-			mu.Lock()
-			outs = append(outs, plan.MapOutput{Groups: reply.Groups, Filtered: reply.Filtered})
-			mu.Unlock()
-		}(batch, worker)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return outs, nil
 }

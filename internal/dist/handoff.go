@@ -87,8 +87,8 @@ func (c *Cluster) Handoff(ctx context.Context, sid, toGroup int) (*HandoffReport
 		// Abort: discard whatever staged. The map never flipped, so the
 		// cluster is exactly as before.
 		for _, t := range c.groups[toGroup] {
-			_ = c.callOn(ctx, t, sid, "Worker.DropStaged",
-				DropStagedArgs{ShardID: sid, Epoch: epoch}, &DropStagedReply{})
+			_, _ = c.inner.call(ctx, "Worker.DropStaged",
+				DropStagedArgs{ShardID: sid, Epoch: epoch}, &DropStagedReply{}, c.pinned(t, sid))
 		}
 		ev.DurationMS = float64(time.Since(start).Microseconds()) / 1000
 		ev.SetError(className(classify(err)), err.Error())
@@ -105,18 +105,21 @@ func (c *Cluster) Handoff(ctx context.Context, sid, toGroup int) (*HandoffReport
 	drop := func(i int) { staging = append(staging[:i], staging[i+1:]...) }
 
 	// Seed residency on targets even for an empty shard, then stream.
+	// Each batch comes off any fresh source replica: identical replica
+	// group lists make the cursor portable across members.
 	pullArgs := PullShardArgs{ShardID: sid, MaxRows: c.pullRows}
+	pull := callOpts{pool: sources, pol: c.shardPolicy(sid)}
 	for done := false; !done; {
 		var reply PullShardReply
-		if err := c.pullFrom(ctx, sid, sources, &pullArgs, &reply); err != nil {
-			return fail(err)
+		if _, err := c.inner.call(ctx, "Worker.PullShard", pullArgs, &reply, pull); err != nil {
+			return fail(fmt.Errorf("dist: pull shard %d: %w", sid, err))
 		}
 		rep.Rows += reply.Rows
 		rep.WireBytes += int64(len(reply.BlockFrame) + len(reply.ZFrame))
 		sargs := StageShardArgs{ShardID: sid, Epoch: epoch,
 			BlockFrame: reply.BlockFrame, ZFrame: reply.ZFrame}
 		for i := 0; i < len(staging); {
-			err := c.callOn(ctx, staging[i], sid, "Worker.StageShard", sargs, &StageShardReply{})
+			_, err := c.inner.call(ctx, "Worker.StageShard", sargs, &StageShardReply{}, c.pinned(staging[i], sid))
 			if err != nil {
 				if ctx.Err() != nil {
 					return fail(ctx.Err())
@@ -137,9 +140,9 @@ func (c *Cluster) Handoff(ctx context.Context, sid, toGroup int) (*HandoffReport
 	// Commit: staged → resident on every surviving target.
 	committed := map[int]bool{}
 	for _, t := range staging {
-		err := c.callOn(ctx, t, sid, "Worker.CommitShard",
+		_, err := c.inner.call(ctx, "Worker.CommitShard",
 			CommitShardArgs{ShardID: sid, Epoch: epoch, MapVersion: targetVer},
-			&CommitShardReply{})
+			&CommitShardReply{}, c.pinned(t, sid))
 		if err == nil {
 			committed[t] = true
 		}
@@ -183,8 +186,8 @@ func (c *Cluster) Handoff(ctx context.Context, sid, toGroup int) (*HandoffReport
 	// guard makes a late drop harmless if the shard moves back.
 	if fromGroup != toGroup {
 		for _, w := range c.groups[fromGroup] {
-			_ = c.callOn(ctx, w, sid, "Worker.DropShard",
-				DropShardArgs{ShardID: sid, MapVersion: targetVer}, &DropShardReply{})
+			_, _ = c.inner.call(ctx, "Worker.DropShard",
+				DropShardArgs{ShardID: sid, MapVersion: targetVer}, &DropShardReply{}, c.pinned(w, sid))
 		}
 	}
 
@@ -194,44 +197,4 @@ func (c *Cluster) Handoff(ctx context.Context, sid, toGroup int) (*HandoffReport
 	ev.SetResults(rep.Rows)
 	c.inner.events.RecordForced(*ev)
 	return rep, nil
-}
-
-// pullFrom fetches one batch at args.Cursor from any fresh source
-// replica, rotating on transport failure. Identical replica group
-// lists make the cursor portable across members.
-func (c *Cluster) pullFrom(ctx context.Context, sid int, sources []int, args *PullShardArgs, reply *PullShardReply) error {
-	pol := c.shardPolicy(sid)
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		w, err := c.pickLiveIn(ctx, sources, attempt)
-		if err != nil {
-			if lastErr != nil {
-				return fmt.Errorf("dist: pull shard %d: %v: %w", sid, lastErr, err)
-			}
-			return fmt.Errorf("dist: pull shard %d: %w", sid, err)
-		}
-		*reply = PullShardReply{}
-		sp, ev, done := c.inner.startRPC(ctx, "Worker.PullShard")
-		_, err = c.inner.attempt(ctx, "Worker.PullShard", *args, reply, w,
-			callOpts{pol: pol, sp: sp, ev: ev})
-		ev.SetAttempts(attempt + 1)
-		done(w, err)
-		if err == nil {
-			return nil
-		}
-		lastErr = err
-		class := classify(err)
-		c.inner.reg.Counter("zsky_dist_rpc_errors_total",
-			obs.L("method", "Worker.PullShard"), obs.L("class", className(class))).Add(1)
-		if class == classFatal || ctx.Err() != nil {
-			return err
-		}
-		if attempt >= pol.retries+len(sources) {
-			return fmt.Errorf("dist: pull shard %d: attempts exhausted: %w", sid, lastErr)
-		}
-		sleep(ctx, c.inner.bo.delay(pol, attempt))
-	}
 }

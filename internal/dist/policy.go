@@ -133,6 +133,21 @@ func classify(err error) errClass {
 	return classRetryable
 }
 
+// className is the class's label on zsky_dist_rpc_errors_total and on
+// error-classed events.
+func className(class errClass) string {
+	switch class {
+	case classRetryable:
+		return "retryable"
+	case classRuleMissing:
+		return "rule-missing"
+	case classShardMoved:
+		return "shard-moved"
+	default:
+		return "fatal"
+	}
+}
+
 // backoff is a seeded, jittered exponential backoff source. Seeding it
 // from the coordinator config keeps retry schedules reproducible in
 // tests without synchronizing on the global rand.

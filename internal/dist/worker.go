@@ -230,20 +230,13 @@ func StartWorker(addr string) (*WorkerServer, error) {
 	return StartWorkerWithOptions(addr, WorkerOptions{})
 }
 
-// StartWorkerWithFaults launches a worker whose serving is routed
-// through a deterministic FaultPlan: the plan can delay, drop, or
-// sever the Nth call of a method, which is how the fault-injection
-// suite (and skyworker -fault chaos drills) exercise the
-// coordinator's retry, deadline, hedging, and resurrection machinery.
-// A nil plan serves normally.
-func StartWorkerWithFaults(addr string, faults *FaultPlan) (*WorkerServer, error) {
-	return StartWorkerWithOptions(addr, WorkerOptions{Faults: faults})
-}
-
 // WorkerOptions tunes a worker server beyond its address.
 type WorkerOptions struct {
 	// Faults, when non-nil, routes serving through a deterministic
-	// fault-injection plan (see StartWorkerWithFaults).
+	// fault-injection plan: the plan can delay, drop, or sever the Nth
+	// call of a method, which is how the fault-injection suite (and
+	// skyworker -fault chaos drills) exercise the coordinator's retry,
+	// deadline, hedging, and resurrection machinery.
 	Faults *FaultPlan
 	// MaxResidentRows, when positive, caps resident rows per shard:
 	// StoreShard and StageShard calls that would exceed it are

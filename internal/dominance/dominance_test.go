@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"zskyline/internal/metrics"
 	"zskyline/internal/point"
 )
 
@@ -146,9 +147,13 @@ func TestSkylineBlockMatchesBruteForce(t *testing.T) {
 		}
 		b := point.BlockOf(d, pts)
 		for _, prov := range testProviders(t, d) {
-			got := SkylineBlock(prov, b, nil).Points()
+			tal := &metrics.Tally{}
+			got := SkylineBlock(prov, b, tal).Points()
 			want := BruteForce(prov, pts)
 			assertSameMultiset(t, prov.Name(), got, want)
+			if n > 1 && tal.Snapshot().DominanceTests == 0 {
+				t.Errorf("%s: n=%d recorded no dominance tests", prov.Name(), n)
+			}
 		}
 	}
 }

@@ -1,14 +1,38 @@
-package kdom
+// Package kdom_test holds the property tests of k-dominant skylines
+// (Chan et al., SIGMOD 2006) as the facade exposes them:
+// zskyline.KDominates and zskyline.KDominantSkyline, both backed by
+// the k-dominance provider of package dominance. The directory has no
+// non-test code.
+package kdom_test
 
 import (
 	"math/rand"
 	"testing"
 
+	"zskyline"
 	"zskyline/internal/gen"
-	"zskyline/internal/metrics"
 	"zskyline/internal/point"
 	"zskyline/internal/seq"
 )
+
+// bruteForce is the quadratic oracle: keep p iff no other point
+// k-dominates it.
+func bruteForce(pts []point.Point, k int) []point.Point {
+	var out []point.Point
+	for i, p := range pts {
+		kept := true
+		for j, q := range pts {
+			if i != j && zskyline.KDominates(q, p, k) {
+				kept = false
+				break
+			}
+		}
+		if kept {
+			out = append(out, p)
+		}
+	}
+	return out
+}
 
 func TestKDominatesBasics(t *testing.T) {
 	cases := []struct {
@@ -27,48 +51,28 @@ func TestKDominatesBasics(t *testing.T) {
 		{point.Point{1, 1}, point.Point{2, 2}, 3, false},       // k > d
 	}
 	for _, c := range cases {
-		if got := KDominates(c.p, c.q, c.k); got != c.want {
+		if got := zskyline.KDominates(c.p, c.q, c.k); got != c.want {
 			t.Errorf("KDominates(%v, %v, %d) = %v, want %v", c.p, c.q, c.k, got, c.want)
-		}
-	}
-}
-
-// Property: classic dominance implies k-dominance for every valid k.
-func TestClassicImpliesKDominance(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for iter := 0; iter < 3000; iter++ {
-		d := 2 + rng.Intn(5)
-		p := make(point.Point, d)
-		q := make(point.Point, d)
-		for i := 0; i < d; i++ {
-			p[i] = float64(rng.Intn(4))
-			q[i] = float64(rng.Intn(4))
-		}
-		if point.Dominates(p, q) {
-			for k := 1; k <= d; k++ {
-				if !KDominates(p, q, k) {
-					t.Fatalf("classic dominance without %d-dominance: %v %v", k, p, q)
-				}
-			}
 		}
 	}
 }
 
 func TestSkylineValidation(t *testing.T) {
 	pts := []point.Point{{1, 2}}
-	if _, err := Skyline(pts, 0, nil); err == nil {
+	if _, err := zskyline.KDominantSkyline(pts, 0); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := Skyline(pts, 3, nil); err == nil {
+	if _, err := zskyline.KDominantSkyline(pts, 3); err == nil {
 		t.Error("k>d accepted")
 	}
-	got, err := Skyline(nil, 1, nil)
+	got, err := zskyline.KDominantSkyline(nil, 1)
 	if err != nil || got != nil {
 		t.Errorf("empty input: %v %v", got, err)
 	}
 }
 
-// Property: TSA equals the brute-force k-dominant skyline.
+// Property: the two-scan skyline equals the brute-force k-dominant
+// skyline.
 func TestTwoScanMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for iter := 0; iter < 80; iter++ {
@@ -87,8 +91,8 @@ func TestTwoScanMatchesOracle(t *testing.T) {
 			}
 			pts[i] = p
 		}
-		want := BruteForce(pts, k)
-		got, err := Skyline(pts, k, nil)
+		want := bruteForce(pts, k)
+		got, err := zskyline.KDominantSkyline(pts, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +116,7 @@ func TestTwoScanMatchesOracle(t *testing.T) {
 func TestContainmentHierarchy(t *testing.T) {
 	ds := gen.Synthetic(gen.Independent, 800, 5, 11)
 	classic := seq.BruteForce(ds.Points)
-	full, err := Skyline(ds.Points, 5, nil)
+	full, err := zskyline.KDominantSkyline(ds.Points, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +125,7 @@ func TestContainmentHierarchy(t *testing.T) {
 	}
 	prev := len(full)
 	for k := 4; k >= 2; k-- {
-		sub, err := Skyline(ds.Points, k, nil)
+		sub, err := zskyline.KDominantSkyline(ds.Points, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,8 +151,8 @@ func TestContainmentHierarchy(t *testing.T) {
 // much smaller than the full skyline.
 func TestShrinksHighDimensionalSkylines(t *testing.T) {
 	ds := gen.Synthetic(gen.AntiCorrelated, 1000, 8, 13)
-	full, _ := Skyline(ds.Points, 8, nil)
-	reduced, _ := Skyline(ds.Points, 6, nil)
+	full, _ := zskyline.KDominantSkyline(ds.Points, 8)
+	reduced, _ := zskyline.KDominantSkyline(ds.Points, 6)
 	if len(reduced) >= len(full)/2 {
 		t.Errorf("6-dominant skyline %d not much smaller than full %d", len(reduced), len(full))
 	}
@@ -156,22 +160,11 @@ func TestShrinksHighDimensionalSkylines(t *testing.T) {
 
 func TestDuplicatesSurvive(t *testing.T) {
 	pts := []point.Point{{1, 1}, {1, 1}, {5, 5}}
-	got, err := Skyline(pts, 2, nil)
+	got, err := zskyline.KDominantSkyline(pts, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 2 {
 		t.Fatalf("duplicates: got %d, want 2 copies of (1,1)", len(got))
-	}
-}
-
-func TestTally(t *testing.T) {
-	tal := &metrics.Tally{}
-	ds := gen.Synthetic(gen.Independent, 300, 4, 1)
-	if _, err := Skyline(ds.Points, 3, tal); err != nil {
-		t.Fatal(err)
-	}
-	if tal.Snapshot().DominanceTests == 0 {
-		t.Error("no tests recorded")
 	}
 }

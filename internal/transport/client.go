@@ -107,8 +107,10 @@ func (c *Client) Go(method uint16, args Marshaler, reply Unmarshaler, done chan 
 	*c.wbf = buf
 	c.wmu.Unlock()
 
-	if err != nil {
-		c.forget(call.seq)
+	// A failed write races the read loop's shutdown, which fails every
+	// pending call: whoever removes the call from pending finishes it,
+	// exactly once.
+	if err != nil && c.forget(call.seq) {
 		if _, ok := err.(marshalError); ok {
 			call.finish(err) // caller bug, not a transport casualty
 		} else {
@@ -141,12 +143,15 @@ func (c *Client) Call(ctx context.Context, method uint16, args Marshaler, reply 
 	}
 }
 
-// forget abandons one pending call (deadline passed, caller moved on).
-// A response that arrives later finds no owner and is discarded.
-func (c *Client) forget(seq uint64) {
+// forget abandons one pending call (deadline passed, caller moved on)
+// and reports whether it was still pending. A response that arrives
+// later finds no owner and is discarded.
+func (c *Client) forget(seq uint64) bool {
 	c.mu.Lock()
+	_, ok := c.pending[seq]
 	delete(c.pending, seq)
 	c.mu.Unlock()
+	return ok
 }
 
 // Close tears the connection down and fails every pending call.

@@ -378,6 +378,51 @@ func TestGoAfterClose(t *testing.T) {
 	}
 }
 
+// TestGoOnDyingConnFinishesOnce races call writes against the read
+// loop noticing the peer hung up: a call whose write fails while the
+// shutdown fails every pending call must still finish exactly once.
+func TestGoOnDyingConnFinishesOnce(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			conn.Close()
+		}
+	}()
+	for round := 0; round < 20; round++ {
+		cl := dialClient(t, ln.Addr().String())
+		var mu sync.Mutex
+		var calls []*Call
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 50; i++ {
+					call := cl.Go(1, &echoPayload{b: make([]byte, 256)}, &echoPayload{}, make(chan *Call, 2))
+					mu.Lock()
+					calls = append(calls, call)
+					mu.Unlock()
+				}
+			}()
+		}
+		wg.Wait()
+		cl.Close()
+		for _, call := range calls {
+			if n := len(call.Done); n != 1 {
+				t.Fatalf("round %d: call finished %d times, want exactly once", round, n)
+			}
+		}
+	}
+}
+
 // funcInterceptor adapts a func to the Interceptor interface.
 type funcInterceptor struct{ f func(uint16) Verdict }
 
