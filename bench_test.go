@@ -187,12 +187,10 @@ func BenchmarkAblSkew(b *testing.B)       { benchFigure(b, "abl-skew") }
 func BenchmarkAblStragglers(b *testing.B) { benchFigure(b, "abl-stragglers") }
 func BenchmarkAblOOC(b *testing.B)        { benchFigure(b, "abl-ooc") }
 
-// Phase-2 map-path memory benchmarks: the per-point MapChunk (one
-// ZB-tree entry allocation per routed point) against the flat MapBlock
-// (scratch reuse + per-group arenas). Same rule, same data. The local
-// algorithm is SB, whose allocations are identical on both paths, so
-// the allocs/op delta is the map/route path itself.
-func mapPhaseFixture(b *testing.B, n, d int) (*plan.Rule, []point.Point, point.Block) {
+// Phase-2 map-path memory benchmarks: MapBlock routes with scratch
+// reuse into per-group arenas. The local algorithm is SB, whose
+// allocations scale with the group count, not the row count.
+func mapPhaseFixture(b *testing.B, n, d int) (*plan.Rule, point.Block) {
 	b.Helper()
 	ds := gen.Synthetic(gen.AntiCorrelated, n, d, 42)
 	smp, err := sample.Ratio(ds.Points, 0.02, 42)
@@ -209,20 +207,11 @@ func mapPhaseFixture(b *testing.B, n, d int) (*plan.Rule, []point.Point, point.B
 	if err != nil {
 		b.Fatal(err)
 	}
-	return r, ds.Points, point.BlockOf(ds.Dims, ds.Points)
-}
-
-func BenchmarkMapPhasePoints50k5d(b *testing.B) {
-	r, pts, _ := mapPhaseFixture(b, 50000, 5)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = r.MapChunk(pts, nil)
-	}
+	return r, point.BlockOf(ds.Dims, ds.Points)
 }
 
 func BenchmarkMapPhaseBlock50k5d(b *testing.B) {
-	r, _, blk := mapPhaseFixture(b, 50000, 5)
+	r, blk := mapPhaseFixture(b, 50000, 5)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -230,17 +219,8 @@ func BenchmarkMapPhaseBlock50k5d(b *testing.B) {
 	}
 }
 
-func BenchmarkMapPhasePoints20k20d(b *testing.B) {
-	r, pts, _ := mapPhaseFixture(b, 20000, 20)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = r.MapChunk(pts, nil)
-	}
-}
-
 func BenchmarkMapPhaseBlock20k20d(b *testing.B) {
-	r, _, blk := mapPhaseFixture(b, 20000, 20)
+	r, blk := mapPhaseFixture(b, 20000, 20)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

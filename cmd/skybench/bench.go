@@ -59,15 +59,12 @@ type benchExecutor struct {
 	SkylineSize   int     `json:"skyline_size"`
 }
 
-// benchMapPath is the phase-2 map-path allocation comparison: the
-// per-point MapChunk against the flat MapBlock over identical data
-// (the tentpole's ≥5× target, same fixture as bench_test.go).
+// benchMapPath is the phase-2 map path's allocation count: one
+// MapBlock over the config's data (same fixture as bench_test.go).
 type benchMapPath struct {
-	Points            int     `json:"points"`
-	Dims              int     `json:"dims"`
-	AllocsPerOpPoints float64 `json:"allocs_per_op_points"`
-	AllocsPerOpBlock  float64 `json:"allocs_per_op_block"`
-	Ratio             float64 `json:"ratio"`
+	Points           int     `json:"points"`
+	Dims             int     `json:"dims"`
+	AllocsPerOpBlock float64 `json:"allocs_per_op_block"`
 }
 
 // benchConfig is one named config's full measurement set.
@@ -243,8 +240,8 @@ func runBenchConfig(name string, n, workers int, seed int64) (benchConfig, error
 	return rep, nil
 }
 
-// measureMapPath mirrors bench_test.go's mapPhaseFixture: SB locally
-// so the allocs/op delta isolates the map/route path itself.
+// measureMapPath mirrors bench_test.go's mapPhaseFixture: SB locally,
+// whose combine allocations scale with groups, not rows.
 func measureMapPath(ds *point.Dataset, seed int64) (benchMapPath, error) {
 	smp, err := sample.Ratio(ds.Points, 0.02, seed)
 	if err != nil {
@@ -261,12 +258,6 @@ func measureMapPath(ds *point.Dataset, seed int64) (benchMapPath, error) {
 		return benchMapPath{}, err
 	}
 	blk := point.BlockOf(ds.Dims, ds.Points)
-	pts := testing.AllocsPerRun(3, func() { _ = r.MapChunk(ds.Points, nil) })
 	bl := testing.AllocsPerRun(3, func() { _ = r.MapBlock(blk, nil) })
-	mp := benchMapPath{Points: ds.Len(), Dims: ds.Dims,
-		AllocsPerOpPoints: pts, AllocsPerOpBlock: bl}
-	if bl > 0 {
-		mp.Ratio = pts / bl
-	}
-	return mp, nil
+	return benchMapPath{Points: ds.Len(), Dims: ds.Dims, AllocsPerOpBlock: bl}, nil
 }

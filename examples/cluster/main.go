@@ -156,7 +156,9 @@ func sameSkyline(a, b []point.Point) bool {
 	if len(a) != len(b) {
 		return false
 	}
-	key := func(p point.Point) string { return p.String() }
+	// Exact round-trip formatting: two points agreeing to six printed
+	// digits must still differ here.
+	key := func(p point.Point) string { return fmt.Sprint([]float64(p)) }
 	as := make([]string, len(a))
 	bs := make([]string, len(b))
 	for i := range a {

@@ -14,7 +14,6 @@ import (
 	"zskyline/internal/parallel"
 	"zskyline/internal/point"
 	"zskyline/internal/rank"
-	"zskyline/internal/seq"
 	"zskyline/internal/subspace"
 	"zskyline/internal/window"
 	"zskyline/internal/zorder"
@@ -148,7 +147,7 @@ func SkylineUnder(desc DominanceDescriptor, pts []Point) ([]Point, error) {
 	if err != nil {
 		return nil, err
 	}
-	return seq.SkylineUnder(prov, pts, nil), nil
+	return dominance.Skyline(prov, pts, nil), nil
 }
 
 // NewMaintainerUnder is NewMaintainer under a variant relation. Only

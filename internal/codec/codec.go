@@ -349,15 +349,6 @@ func (b *BinaryReader) NextBlock(max int) (point.Block, error) {
 	return point.Block{Dims: b.dims, Data: data}, nil
 }
 
-// Source adapts the reader to the point.Source streaming interface, so
-// a ZSKY file can feed any block-oriented consumer directly.
-func (b *BinaryReader) Source() point.Source { return readerSource{b} }
-
-type readerSource struct{ br *BinaryReader }
-
-func (s readerSource) Dims() int                         { return s.br.dims }
-func (s readerSource) Next(max int) (point.Block, error) { return s.br.NextBlock(max) }
-
 // WriteBlock writes one length-prefixed block frame — b's flat
 // [dims][rows][payload] encoding preceded by its uint32 byte length —
 // so a stream can carry consecutive blocks of varying sizes.

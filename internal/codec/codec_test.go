@@ -310,16 +310,6 @@ func TestBinaryReaderNextBlock(t *testing.T) {
 	if err == io.EOF {
 		t.Error("corrupted stream passed the checksum")
 	}
-
-	// Source adapter drains through plan-agnostic point.ReadAll.
-	br, err = NewBinaryReader(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	all, err := point.ReadAll(br.Source())
-	if err != nil || all.Len() != ds.Len() {
-		t.Fatalf("Source ReadAll = %dx%d, %v", all.Len(), all.Dims, err)
-	}
 }
 
 // WriteBlock/ReadBlock must carry consecutive frames of varying shape

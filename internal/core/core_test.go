@@ -384,37 +384,6 @@ func TestStringers(t *testing.T) {
 	}
 }
 
-func TestAutoConfig(t *testing.T) {
-	// Nil dataset: defaults survive.
-	cfg := AutoConfig(nil, 4)
-	if cfg.Workers != 4 || cfg.M != 32 {
-		t.Errorf("nil dataset config: %+v", cfg)
-	}
-	// Small 3-d dataset: SB local, small M, dense sample.
-	small := gen.Synthetic(gen.Independent, 5000, 3, 1)
-	cfg = AutoConfig(small, 8)
-	if cfg.Local != SB || cfg.M > 8 || cfg.SampleRatio != 0.05 {
-		t.Errorf("small config: %+v", cfg)
-	}
-	// High-dimensional: ZS local, compact grid.
-	high := gen.NUSWideLike(2000, 1)
-	cfg = AutoConfig(high, 8)
-	if cfg.Local != ZS || cfg.Bits != 8 {
-		t.Errorf("high-d config: %+v", cfg)
-	}
-	// Auto configs must validate and produce exact results.
-	ds := gen.Synthetic(gen.AntiCorrelated, 6000, 5, 3)
-	eng, err := NewEngine(AutoConfig(ds, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := eng.Skyline(context.Background(), ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameSet(t, got, seq.SB(ds.Points, nil), "auto")
-}
-
 func TestEngineContextCancellation(t *testing.T) {
 	ds := gen.Synthetic(gen.Independent, 50000, 5, 7)
 	cfg := smallCfg()

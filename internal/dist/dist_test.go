@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"zskyline/internal/codec"
+	"zskyline/internal/dominance"
 	"zskyline/internal/gen"
 	"zskyline/internal/point"
 	"zskyline/internal/seq"
@@ -304,5 +305,50 @@ func TestSkylineFileStreaming(t *testing.T) {
 	// Missing file errors cleanly.
 	if _, _, err := coord.SkylineFile(context.Background(), "/nope.zsky"); err == nil {
 		t.Error("missing file accepted")
+	}
+}
+
+// SkylineFile must apply the same non-transitive closure as Skyline:
+// without it, kdom:4 on this input returns 3 merged candidates where
+// the exact skyline is empty.
+func TestSkylineFileUnderProviders(t *testing.T) {
+	const d = 6
+	addrs := startCluster(t, 2)
+	ds := gen.Synthetic(gen.AntiCorrelated, 4000, d, 41)
+	path := filepath.Join(t.TempDir(), "providers.zsky")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := codec.WriteBinary(f, ds); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	for _, desc := range []dominance.Descriptor{
+		{Kind: dominance.KindKDom, K: 4},
+		{Kind: dominance.KindFlex, Weights: [][]float64{{1, 1, 1, 1, 1, 1}, {3, 1, 1, 1, 1, 1}}},
+		{Kind: dominance.KindRobust, Rho: 0.05},
+	} {
+		prov, err := desc.Provider()
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(desc.String(), func(t *testing.T) {
+			cfg := DefaultCoordinatorConfig()
+			cfg.M = 8
+			cfg.SampleRatio = 0.05
+			cfg.ChunkSize = 700
+			cfg.Dominance = desc
+			coord, err := NewCoordinator(cfg, addrs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer coord.Close()
+			got, _, err := coord.SkylineFile(context.Background(), path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameSet(t, got, dominance.BruteForce(prov, ds.Points), "file streaming under "+prov.Name())
+		})
 	}
 }

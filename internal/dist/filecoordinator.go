@@ -18,7 +18,9 @@ import (
 // SkylineFile computes the skyline of a ZSKY binary file without ever
 // loading it into the coordinator's memory: pass 1 streams the file to
 // learn the bounding box and a reservoir sample (phase 1's input),
-// pass 2 streams chunks straight to the workers' MapChunk RPCs. This
+// pass 2 streams chunks straight to the workers' MapChunk RPCs, and
+// under a non-transitive relation pass 3 streams it once more to close
+// the merged candidates (plan.VerifyCandidates). This
 // is the deployment shape for datasets larger than the coordinator —
 // the same regime the paper's HDFS-resident inputs live in.
 func (c *Coordinator) SkylineFile(ctx context.Context, path string) (_ []point.Point, _ *Report, retErr error) {
@@ -105,6 +107,14 @@ func (c *Coordinator) SkylineFile(ctx context.Context, path string) (_ []point.P
 	if err != nil {
 		return nil, nil, err
 	}
+	// A non-transitive relation leaves a candidate superset: close it
+	// by streaming the file a third time, batch by batch.
+	sky, err = plan.VerifyCandidates(ctx, r.Provider(), sky, func(visit func(point.Block)) error {
+		return c.eachBlock(path, nil, visit)
+	}, nil)
+	if err != nil {
+		return nil, nil, err
+	}
 	rep.Phase3 = time.Since(t2)
 	rep.Total = time.Since(start)
 	rep.Wire = c.WireStats()
@@ -116,40 +126,58 @@ func (c *Coordinator) SkylineFile(ctx context.Context, path string) (_ []point.P
 // reservoir sample sized by the configured ratio (estimated from the
 // header's point count).
 func (c *Coordinator) scanFile(path string) (dims int, n int64, mins, maxs []float64, smp []point.Point, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, 0, nil, nil, nil, err
-	}
-	defer f.Close()
-	br, err := codec.NewBinaryReader(f)
-	if err != nil {
-		return 0, 0, nil, nil, nil, err
-	}
-	dims = br.Dims()
-	k := int(c.cfg.SampleRatio * float64(br.Remaining()))
-	if k < 64 {
-		k = 64
-	}
-	res, err := sample.NewStream(k, c.cfg.Seed)
-	if err != nil {
-		return 0, 0, nil, nil, nil, err
-	}
-	for {
-		batch, err := br.NextBlock(c.cfg.ChunkSize)
-		if err == io.EOF {
-			break
+	var res *sample.Stream
+	err = c.eachBlock(path, func(br *codec.BinaryReader) error {
+		dims = br.Dims()
+		k := int(c.cfg.SampleRatio * float64(br.Remaining()))
+		if k < 64 {
+			k = 64
 		}
-		if err != nil {
-			return 0, 0, nil, nil, nil, err
-		}
+		var err error
+		res, err = sample.NewStream(k, c.cfg.Seed)
+		return err
+	}, func(batch point.Block) {
 		mins, maxs = batch.UpdateBounds(mins, maxs)
 		res.AddBlock(batch)
 		n += int64(batch.Len())
+	})
+	if err != nil {
+		return 0, 0, nil, nil, nil, err
 	}
 	if n > 0 && len(res.Sample()) == 0 {
 		return 0, 0, nil, nil, nil, fmt.Errorf("dist: empty sample from %d points", n)
 	}
 	return dims, n, mins, maxs, res.Sample(), nil
+}
+
+// eachBlock streams the ZSKY file at path in ChunkSize batches: start
+// (when non-nil) sees the reader once the header is read, then visit
+// sees every batch in file order.
+func (c *Coordinator) eachBlock(path string, start func(*codec.BinaryReader) error, visit func(point.Block)) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	br, err := codec.NewBinaryReader(f)
+	if err != nil {
+		return err
+	}
+	if start != nil {
+		if err := start(br); err != nil {
+			return err
+		}
+	}
+	for {
+		batch, err := br.NextBlock(c.cfg.ChunkSize)
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		visit(batch)
+	}
 }
 
 // streamMap streams the file's chunks to the workers through forEach,

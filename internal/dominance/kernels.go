@@ -1,30 +1,29 @@
 package dominance
 
 import (
-	"sort"
-
 	"zskyline/internal/metrics"
 	"zskyline/internal/point"
+	"zskyline/internal/seq"
 )
 
-// Generic skyline kernels parameterized by a Provider. They are the
-// fallback path for non-Pareto relations: callers on a hot path should
-// route IsPareto providers to the hardcoded kernels of package seq /
-// zbtree, which these kernels match point-for-point on the classic
-// relation (pinned by the property tests).
+// Provider-generic skyline kernels. Each operation has one loop:
+// SkylineBlock runs the sort-by-sum window of package seq for every
+// relation that implies Pareto dominance (Pareto itself included, with
+// no per-test interface call) and the eviction window below for the
+// rest; FilterBlock is the one block filter.
 
 // SkylineBlock computes the exact provider skyline of b, compacting
 // survivors into a fresh block.
 //
 // When the relation implies Pareto, rows are processed in coordinate-
-// sum order, which is then a topological order for the provider (a
-// dominator always has a strictly smaller sum), so the window is
-// append-only — the seq.SB strategy. Otherwise rows are processed in
-// input order with window eviction — the seq.BNL strategy. For
-// non-transitive relations the window is a candidate superset, so a
-// final verification pass retests every candidate against the full
-// block; elimination by a real row is sound under any irreflexive
-// relation, which makes the combined result exact.
+// sum order with ties in coordinate order, which is then a topological
+// order for the provider (a dominator always comes first), so the
+// window is append-only — seq.SBRows. Otherwise rows are processed in input
+// order with window eviction (block-nested loops). For non-transitive
+// relations the window is a candidate superset, so a final pass
+// retests every candidate against the full block; elimination by a
+// real row is sound under any irreflexive relation, which makes the
+// combined result exact.
 func SkylineBlock(prov Provider, b point.Block, tally *metrics.Tally) point.Block {
 	n := b.Len()
 	if n == 0 {
@@ -32,149 +31,93 @@ func SkylineBlock(prov Provider, b point.Block, tally *metrics.Tally) point.Bloc
 	}
 	caps := prov.Caps()
 	var window []int32
-	var tests int64
 	if caps.ImpliesPareto {
-		sums := make([]float64, n)
-		perm := make([]int32, n)
-		for i := 0; i < n; i++ {
-			sums[i] = point.SumCoords(b.Row(i))
-			perm[i] = int32(i)
+		var dom func(point.Block, int, point.Block, int) bool
+		if !IsPareto(prov) {
+			dom = prov.DominatesRows
 		}
-		sort.SliceStable(perm, func(i, j int) bool { return sums[perm[i]] < sums[perm[j]] })
-		window = make([]int32, 0, 64)
-		for _, ri := range perm {
-			dominated := false
-			for _, wi := range window {
-				tests++
-				if prov.DominatesRows(b, int(wi), b, int(ri)) {
-					dominated = true
-					break
-				}
-			}
-			if !dominated {
-				window = append(window, ri)
-			}
-		}
+		window = seq.SBRows(b, dom, tally)
 	} else {
-		window = make([]int32, 0, 64)
-		for i := 0; i < n; i++ {
-			dominated := false
-			w := window[:0]
-			for k, wi := range window {
-				tests++
-				if prov.DominatesRows(b, int(wi), b, i) {
-					dominated = true
-					w = append(w, window[k:]...)
-					break
-				}
-				tests++
-				if prov.DominatesRows(b, i, b, int(wi)) {
-					continue // evict the window row
-				}
-				w = append(w, wi)
-			}
-			window = w
-			if !dominated {
-				window = append(window, int32(i))
-			}
-		}
+		window = evictionRows(prov, b, tally)
 	}
 	if !caps.Transitive {
-		window, tests = verifyRows(prov, b, window, tests)
+		window = filterRows(prov, b, window, b, tally)
 	}
-	tally.AddDominanceTests(tests)
 	return compactRows(b, window)
 }
 
-// verifyRows retests candidate rows against the full block, dropping
-// any candidate dominated by a different row — the second scan of the
-// Two-Scan Algorithm, required whenever the relation is not
-// transitive.
-func verifyRows(prov Provider, b point.Block, cands []int32, tests int64) ([]int32, int64) {
+// evictionRows is the block-nested-loops window: each row is tested
+// against the survivors so far, evicting the ones it dominates and
+// being dropped if one of them dominates it. It returns the surviving
+// rows of b.
+func evictionRows(prov Provider, b point.Block, tally *metrics.Tally) []int32 {
 	n := b.Len()
-	kept := cands[:0]
-	for _, ci := range cands {
-		ok := true
-		for j := 0; j < n; j++ {
-			if j == int(ci) {
-				continue
-			}
-			tests++
-			if prov.DominatesRows(b, j, b, int(ci)) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			kept = append(kept, ci)
-		}
-	}
-	return kept, tests
-}
-
-// VerifyBlock retests every row of cands against the full block all,
-// keeping only rows no row of all dominates. Rows of cands are matched
-// to rows of all by coordinate equality so a candidate is never
-// eliminated by its own copy; across all four built-in providers (and
-// any irreflexive relation) coordinate-equal points never dominate
-// each other, so one surviving copy in all suffices to certify the
-// candidate. This is the pipeline-level verification pass for
-// non-transitive providers: local/merge phases produce candidate
-// supersets, and elimination against the full dataset makes the final
-// result exact.
-func VerifyBlock(prov Provider, cands, all point.Block, tally *metrics.Tally) point.Block {
-	n := cands.Len()
-	if n == 0 {
-		return point.Block{Dims: cands.Dims}
-	}
-	m := all.Len()
-	kept := make([]int32, 0, n)
+	window := make([]int32, 0, 64)
 	var tests int64
 	for i := 0; i < n; i++ {
-		ok := true
-		for j := 0; j < m; j++ {
+		dominated := false
+		w := window[:0]
+		for k, wi := range window {
 			tests++
-			if prov.DominatesRows(all, j, cands, i) {
-				ok = false
+			if prov.DominatesRows(b, int(wi), b, i) {
+				dominated = true
+				w = append(w, window[k:]...)
 				break
 			}
+			tests++
+			if prov.DominatesRows(b, i, b, int(wi)) {
+				continue // evict the window row
+			}
+			w = append(w, wi)
 		}
-		if ok {
-			kept = append(kept, int32(i))
+		window = w
+		if !dominated {
+			window = append(window, int32(i))
 		}
 	}
 	tally.AddDominanceTests(tests)
-	return compactRows(cands, kept)
+	return window
 }
 
 // FilterBlock removes from candidates every row dominated by some row
-// of against, compacting survivors — the provider-generic counterpart
-// of seq.FilterBlock. Because eliminations cite a real point, the
-// filter is membership-sound under any irreflexive relation,
-// transitive or not.
+// of against, compacting survivors. Because eliminations cite a real
+// point, the filter is membership-sound under any irreflexive
+// relation, transitive or not; against the full dataset it closes a
+// candidate superset to the exact skyline, since coordinate-equal rows
+// never dominate each other under an irreflexive relation.
 func FilterBlock(prov Provider, candidates, against point.Block, tally *metrics.Tally) point.Block {
 	n := candidates.Len()
 	if n == 0 {
 		return point.Block{Dims: candidates.Dims}
 	}
+	rows := make([]int32, n)
+	for i := range rows {
+		rows[i] = int32(i)
+	}
+	return compactRows(candidates, filterRows(prov, candidates, rows, against, tally))
+}
+
+// filterRows is the one filter loop: it keeps the rows of cands that no
+// row of against dominates, reusing the rows slice for the result.
+func filterRows(prov Provider, cands point.Block, rows []int32, against point.Block, tally *metrics.Tally) []int32 {
 	m := against.Len()
-	kept := make([]int32, 0, n)
+	kept := rows[:0]
 	var tests int64
-	for i := 0; i < n; i++ {
+	for _, ci := range rows {
 		dominated := false
 		for j := 0; j < m; j++ {
 			tests++
-			if prov.DominatesRows(against, j, candidates, i) {
+			if prov.DominatesRows(against, j, cands, int(ci)) {
 				dominated = true
 				break
 			}
 		}
 		if !dominated {
-			kept = append(kept, int32(i))
+			kept = append(kept, ci)
 		}
 	}
 	tally.AddDominanceTests(tests)
-	return compactRows(candidates, kept)
+	return kept
 }
 
 // Skyline is the slice adapter of SkylineBlock.

@@ -9,7 +9,6 @@ package gen
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 
@@ -97,45 +96,6 @@ func synthInto(r *rand.Rand, dist Distribution, p point.Point) {
 	default:
 		panic(fmt.Sprintf("gen: unknown distribution %d", dist))
 	}
-}
-
-// Source streams a synthetic dataset as contiguous blocks without ever
-// materializing it whole — the generator-backed point.Source for
-// out-of-core pipelines and benchmarks. Its rows reproduce
-// Synthetic(dist, n, d, seed) exactly, in order.
-type Source struct {
-	r         *rand.Rand
-	dist      Distribution
-	d         int
-	remaining int
-}
-
-// NewSource creates a streaming generator of n d-dimensional points.
-func NewSource(dist Distribution, n, d int, seed int64) *Source {
-	return &Source{r: rand.New(rand.NewSource(seed)), dist: dist, d: d, remaining: n}
-}
-
-// Dims implements point.Source.
-func (s *Source) Dims() int { return s.d }
-
-// Next generates up to max points into one freshly built block.
-func (s *Source) Next(max int) (point.Block, error) {
-	if s.remaining == 0 {
-		return point.Block{}, io.EOF
-	}
-	if max < 1 {
-		max = 1
-	}
-	n := max
-	if n > s.remaining {
-		n = s.remaining
-	}
-	bb := point.NewBlockBuilder(s.d, n)
-	for i := 0; i < n; i++ {
-		synthInto(s.r, s.dist, bb.Extend())
-	}
-	s.remaining -= n
-	return bb.Build(), nil
 }
 
 // NBALike simulates the paper's NBA dataset: n player seasons with 7

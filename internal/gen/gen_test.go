@@ -1,7 +1,6 @@
 package gen
 
 import (
-	"io"
 	"math"
 	"testing"
 
@@ -225,38 +224,5 @@ func TestGammaSamplePositive(t *testing.T) {
 	db := DBPediaLike(50, 1)
 	if db.Len() != 50 {
 		t.Fatal("DBPedia generation failed")
-	}
-}
-
-// NewSource must reproduce Synthetic row-for-row regardless of batch
-// size, and end with a clean io.EOF.
-func TestSourceMatchesSynthetic(t *testing.T) {
-	const n, d, seed = 1234, 5, 77
-	want := Synthetic(AntiCorrelated, n, d, seed)
-	src := NewSource(AntiCorrelated, n, d, seed)
-	if src.Dims() != d {
-		t.Fatalf("Dims = %d", src.Dims())
-	}
-	var rows int
-	for {
-		b, err := src.Next(97)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < b.Len(); i++ {
-			if !b.Row(i).Equal(want.Points[rows+i]) {
-				t.Fatalf("row %d drifted from Synthetic", rows+i)
-			}
-		}
-		rows += b.Len()
-	}
-	if rows != n {
-		t.Fatalf("streamed %d rows, want %d", rows, n)
-	}
-	if _, err := src.Next(1); err != io.EOF {
-		t.Fatalf("exhausted source = %v, want io.EOF", err)
 	}
 }

@@ -109,8 +109,8 @@ func TestContextHelpers(t *testing.T) {
 	}
 	tr := NewTrace("run")
 	ctx = ContextWithTrace(ctx, tr)
-	if TraceFrom(ctx) != tr {
-		t.Fatal("TraceFrom lost the trace")
+	if SpanFrom(ctx) != tr.Root() {
+		t.Fatal("ContextWithTrace did not make the root current")
 	}
 	sp, ctx2 := StartSpan(ctx, "learn")
 	if sp == nil || SpanFrom(ctx2) != sp {

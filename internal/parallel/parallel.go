@@ -10,7 +10,6 @@ package parallel
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 
 	"zskyline/internal/dominance"
@@ -132,26 +131,9 @@ func Skyline(ctx context.Context, ds *point.Dataset, opts Options) ([]point.Poin
 
 	// Non-transitive relations leave the merge with a candidate
 	// superset (an eliminated shard point can still dominate a
-	// candidate); close it against the full input. Candidates are
-	// compacted copies, so coordinate-equal source rows never
-	// self-eliminate.
-	if !dominance.IsPareto(prov) && !prov.Caps().Transitive && len(sky) > 0 {
-		sp, _ := obs.StartSpan(ctx, "verify")
-		sp.SetAttr("candidates", len(sky))
-		cand := point.BlockOf(ds.Dims, sky)
-		cand = dominance.FilterBlock(prov, cand, block, opts.Tally)
-		sp.SetAttr("skyline", cand.Len())
-		sp.End()
-		sky = cand.Points()
-	}
-	return sky, nil
-}
-
-// SkylineOf is a convenience wrapper over raw points.
-func SkylineOf(ctx context.Context, dims int, pts []point.Point, opts Options) ([]point.Point, error) {
-	ds, err := point.NewDataset(dims, pts)
-	if err != nil {
-		return nil, fmt.Errorf("parallel: %w", err)
-	}
-	return Skyline(ctx, ds, opts)
+	// candidate); close it against the full input.
+	return plan.VerifyCandidates(ctx, prov, sky, func(visit func(point.Block)) error {
+		visit(block)
+		return nil
+	}, opts.Tally)
 }

@@ -49,9 +49,6 @@ func TestEdgeCases(t *testing.T) {
 	if err != nil || len(got) != 1 {
 		t.Errorf("singleton: %v %v", got, err)
 	}
-	if _, err := SkylineOf(context.Background(), 2, []point.Point{{1}}, Options{}); err == nil {
-		t.Error("dim mismatch accepted")
-	}
 }
 
 func TestContextCancellation(t *testing.T) {

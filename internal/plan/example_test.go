@@ -40,23 +40,3 @@ func ExampleRun() {
 	// (2, 2)
 	// (9, 1)
 }
-
-// RunSource drives the same pipeline from a streaming point.Source, so
-// the dataset never has to exist as one []point.Point in memory.
-func ExampleRunSource() {
-	pts := []point.Point{{1, 9}, {2, 2}, {9, 1}, {5, 5}, {3, 8}, {8, 3}}
-	spec := &plan.Spec{
-		Strategy: plan.ZDG, Local: plan.ZS, Merge: plan.MergeZM,
-		M: 2, Delta: 2, SampleRatio: 1, Bits: 8, Seed: 1, ChunkSize: 2,
-	}
-	src := point.NewSliceSource(2, pts)
-	sky, _, err := plan.RunSource(context.Background(), spec, src, plan.NewLocalExec(2), nil)
-	if err != nil {
-		fmt.Println("run:", err)
-		return
-	}
-	sort.Slice(sky, func(i, j int) bool { return sky[i][0] < sky[j][0] })
-	fmt.Println(len(sky), "skyline points:", sky)
-	// Output:
-	// 3 skyline points: [(1, 9) (2, 2) (9, 1)]
-}

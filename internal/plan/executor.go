@@ -15,7 +15,7 @@ import (
 // stay in plan. Bulk data crosses the interface as point.Blocks —
 // contiguous batches that substrates can ship as single payloads.
 //
-// Error contract: the driver (Run, RunSource, MergePhase) returns
+// Error contract: the driver (Run, MergePhase) returns
 // executor errors unwrapped, so typed sentinels an implementation
 // exposes stay matchable with errors.Is at the API boundary — the
 // dist executor's ErrClusterDown is the worked example. Transient

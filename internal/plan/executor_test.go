@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"zskyline/internal/gen"
-	"zskyline/internal/point"
 )
 
 // A cancelled context must stop task admission: with a single-worker
@@ -52,30 +51,23 @@ func TestLocalExecRecoversPanic(t *testing.T) {
 	}
 }
 
-// RunSource over a streaming generator must produce the same skyline
-// as Run over the materialized dataset (same seed, same spec).
-func TestRunSourceMatchesRun(t *testing.T) {
+// Multi-block ingest with small map chunks must produce the same
+// skyline as the default single-block run (same seed, same spec).
+func TestRunChunkSizeKeepsSkyline(t *testing.T) {
 	const n, d, seed = 3000, 4, 17
-	spec := validSpec()
-	spec.ChunkSize = 700 // exercise multi-block ingest + chunking
 	ds := gen.Synthetic(gen.AntiCorrelated, n, d, seed)
-	want, _, err := Run(context.Background(), spec, ds, NewLocalExec(4), nil)
+	want, _, err := Run(context.Background(), validSpec(), ds, NewLocalExec(4), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, rep, err := RunSource(context.Background(), spec,
-		gen.NewSource(gen.AntiCorrelated, n, d, seed), NewLocalExec(4), nil)
+	spec := validSpec()
+	spec.ChunkSize = 700 // five ingest blocks, one map task each
+	got, rep, err := Run(context.Background(), spec, ds, NewLocalExec(4), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameSet(t, got, want, "source-vs-materialized")
+	sameSet(t, got, want, "chunked-vs-default")
 	if rep.SkylineSize != len(want) {
 		t.Errorf("report skyline = %d, want %d", rep.SkylineSize, len(want))
-	}
-	// An empty source is an empty result, not an error.
-	sky, rep, err := RunSource(context.Background(), validSpec(),
-		point.NewSliceSource(3, nil), NewLocalExec(2), nil)
-	if err != nil || sky != nil || rep == nil {
-		t.Errorf("empty source: %v %v %v", sky, rep, err)
 	}
 }

@@ -207,12 +207,6 @@ type Group struct {
 	ZCol  zorder.ZCol
 }
 
-// NewGroup copies pts (each dims wide) into a block-backed group — the
-// bridge from view-based code onto the block data plane.
-func NewGroup(gid, dims int, pts []point.Point) Group {
-	return Group{Gid: gid, Block: point.BlockOf(dims, pts)}
-}
-
 // Len returns the group's row count.
 func (g Group) Len() int { return g.Block.Len() }
 
@@ -273,45 +267,6 @@ func Shuffle(outs []MapOutput) ([]Group, int64) {
 		}
 	}
 	return groups, filtered
-}
-
-// SplitN cuts points into n near-equal contiguous chunks (at least one
-// point per chunk; fewer chunks when the input is small).
-func SplitN(pts []point.Point, n int) [][]point.Point {
-	if n < 1 {
-		n = 1
-	}
-	if n > len(pts) {
-		n = len(pts)
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([][]point.Point, 0, n)
-	for i := 0; i < n; i++ {
-		lo := i * len(pts) / n
-		hi := (i + 1) * len(pts) / n
-		if lo < hi {
-			out = append(out, pts[lo:hi:hi])
-		}
-	}
-	return out
-}
-
-// ChunkBy cuts points into contiguous chunks of at most size points.
-func ChunkBy(pts []point.Point, size int) [][]point.Point {
-	if size < 1 {
-		size = 1
-	}
-	var out [][]point.Point
-	for lo := 0; lo < len(pts); lo += size {
-		hi := lo + size
-		if hi > len(pts) {
-			hi = len(pts)
-		}
-		out = append(out, pts[lo:hi:hi])
-	}
-	return out
 }
 
 // chunkBlocks applies the spec's chunking policy to drained blocks

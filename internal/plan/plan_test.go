@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/gob"
+	"fmt"
 	"testing"
 
 	"zskyline/internal/gen"
@@ -65,45 +66,63 @@ func TestStringers(t *testing.T) {
 	}
 }
 
+// The chunking policy map tasks run on: Run's ingest cuts ChunkSize-row
+// blocks (1<<16 when unset), and chunkBlocks re-slices them without
+// copying, by ChunkSize or into about MapTasks near-equal chunks.
 func TestSplitNAndChunkBy(t *testing.T) {
 	pts := make([]point.Point, 10)
 	for i := range pts {
 		pts[i] = point.Point{float64(i)}
 	}
-	check := func(chunks [][]point.Point, label string) {
-		t.Helper()
+	ds := point.MustDataset(1, pts)
+	rowsOf := func(chunks []point.Block) []int {
+		var rows []int
 		var total int
 		for _, c := range chunks {
-			total += len(c)
+			rows = append(rows, c.Len())
+			for i := 0; i < c.Len(); i++ {
+				if c.Row(i)[0] != float64(total) {
+					t.Fatalf("chunk rows out of order: %v at %d", c.Row(i), total)
+				}
+				total++
+			}
 		}
 		if total != len(pts) {
-			t.Fatalf("%s: chunks cover %d points, want %d", label, total, len(pts))
+			t.Fatalf("chunks cover %d points, want %d", total, len(pts))
 		}
+		return rows
 	}
-	for _, n := range []int{0, 1, 3, 10, 99} {
-		check(SplitN(pts, n), "splitN")
-	}
-	if got := len(SplitN(pts, 3)); got != 3 {
-		t.Errorf("SplitN(10,3) = %d chunks", got)
-	}
-	if got := len(SplitN(pts, 99)); got != 10 {
-		t.Errorf("SplitN(10,99) = %d chunks (want one per point)", got)
-	}
-	for _, size := range []int{0, 1, 4, 10, 99} {
-		check(ChunkBy(pts, size), "chunkBy")
-	}
-	if got := len(ChunkBy(pts, 4)); got != 3 {
-		t.Errorf("ChunkBy(10,4) = %d chunks", got)
-	}
-	if SplitN(nil, 4) != nil {
-		t.Error("SplitN(nil) != nil")
+	for _, tc := range []struct {
+		spec   Spec
+		blocks []int // ingest block sizes
+		chunks []int // map-task chunk sizes
+	}{
+		{Spec{}, []int{10}, []int{1, 1, 1, 2, 1, 1, 1, 2}},
+		{Spec{MapTasks: 3}, []int{10}, []int{3, 3, 4}},
+		{Spec{MapTasks: 99}, []int{10}, []int{1, 1, 1, 1, 1, 1, 1, 1, 1, 1}},
+		{Spec{ChunkSize: 4}, []int{4, 4, 2}, []int{4, 4, 2}},
+		{Spec{ChunkSize: 99}, []int{10}, []int{10}},
+	} {
+		blocks, mins, maxs := ingest(ds, &tc.spec)
+		if got := rowsOf(blocks); fmt.Sprint(got) != fmt.Sprint(tc.blocks) {
+			t.Errorf("%+v: ingest blocks %v, want %v", tc.spec, got, tc.blocks)
+		}
+		if mins[0] != 0 || maxs[0] != 9 {
+			t.Errorf("%+v: bounds [%v,%v], want [0,9]", tc.spec, mins[0], maxs[0])
+		}
+		if got := rowsOf(tc.spec.chunkBlocks(blocks)); fmt.Sprint(got) != fmt.Sprint(tc.chunks) {
+			t.Errorf("%+v: chunks %v, want %v", tc.spec, got, tc.chunks)
+		}
 	}
 }
 
 func TestShuffleDeterministicOrder(t *testing.T) {
+	group := func(gid int, v float64) Group {
+		return Group{Gid: gid, Block: point.Block{Dims: 1, Data: []float64{v}}}
+	}
 	outs := []MapOutput{
-		{Groups: []Group{NewGroup(3, 1, []point.Point{{1}}), NewGroup(1, 1, []point.Point{{2}})}, Filtered: 2},
-		{Groups: []Group{NewGroup(1, 1, []point.Point{{3}}), NewGroup(0, 1, []point.Point{{4}})}, Filtered: 1},
+		{Groups: []Group{group(3, 1), group(1, 2)}, Filtered: 2},
+		{Groups: []Group{group(1, 3), group(0, 4)}, Filtered: 1},
 	}
 	groups, filtered := Shuffle(outs)
 	if filtered != 3 {
@@ -166,17 +185,18 @@ func TestRuleDataRoundTrip(t *testing.T) {
 		t.Fatalf("shape drift: %d/%d groups, %d/%d partitions",
 			r2.Groups(), r.Groups(), r2.Partitions(), r.Partitions())
 	}
-	for _, p := range ds.Points[:500] {
-		g1, ok1 := r.Route(p)
-		g2, ok2 := r2.Route(p)
-		if g1 != g2 || ok1 != ok2 {
-			t.Fatalf("route drift for %v: (%d,%v) vs (%d,%v)", p, g1, ok1, g2, ok2)
-		}
-	}
-	out1 := r.MapChunk(ds.Points, nil)
-	out2 := r2.MapChunk(ds.Points, nil)
+	blk := point.BlockOf(ds.Dims, ds.Points)
+	out1 := r.MapBlock(blk, nil)
+	out2 := r2.MapBlock(blk, nil)
 	if out1.Filtered != out2.Filtered || len(out1.Groups) != len(out2.Groups) {
-		t.Fatalf("map drift: %+v vs %+v", out1.Filtered, out2.Filtered)
+		t.Fatalf("map drift: filtered %d vs %d, %d vs %d groups",
+			out1.Filtered, out2.Filtered, len(out1.Groups), len(out2.Groups))
+	}
+	for i, g := range out1.Groups {
+		h := out2.Groups[i]
+		if g.Gid != h.Gid || fmt.Sprint(g.Block.Data) != fmt.Sprint(h.Block.Data) {
+			t.Fatalf("group %d drift: gid %d vs %d, %d vs %d rows", i, g.Gid, h.Gid, g.Len(), h.Len())
+		}
 	}
 	// A sample skyline of the wrong width must be refused, not indexed.
 	back.SampleSkyline = point.Block{Dims: back.Dims + 1, Data: make([]float64, back.Dims+1)}

@@ -18,7 +18,6 @@ import (
 	"zskyline/internal/parallel"
 	"zskyline/internal/plan"
 	"zskyline/internal/point"
-	"zskyline/internal/seq"
 )
 
 // providerDescriptors returns one descriptor of each kind for
@@ -139,7 +138,7 @@ func TestProvidersAcrossExecutors(t *testing.T) {
 				want := dominance.BruteForce(prov, tc.ds.Points)
 
 				// The sequential reference must agree with the oracle first.
-				sameSet(t, seq.SkylineUnder(prov, tc.ds.Points, nil), want, name+"/seq")
+				sameSet(t, dominance.Skyline(prov, tc.ds.Points, nil), want, name+"/seq")
 
 				sameSet(t, coreSkylineUnder(t, tc.ds, desc, plan.SB), want, name+"/core/SB")
 				sameSet(t, coreSkylineUnder(t, tc.ds, desc, plan.ZS), want, name+"/core/ZS")

@@ -8,7 +8,6 @@ import (
 	"zskyline/internal/metrics"
 	"zskyline/internal/partition"
 	"zskyline/internal/point"
-	"zskyline/internal/seq"
 	"zskyline/internal/zbtree"
 	"zskyline/internal/zorder"
 )
@@ -238,26 +237,6 @@ func (r *Rule) Provider() dominance.Provider {
 	return r.prov
 }
 
-// pareto reports whether the rule runs under the classic relation —
-// the zero-overhead fast path every kernel branches on once.
-func (r *Rule) pareto() bool { return dominance.IsPareto(r.prov) }
-
-// Route maps a point to its group; ok is false when the point is
-// dropped (SZB-tree filtered, or routed to a pruned partition). This
-// is the one-point entry point; MapBlock routes whole blocks with one
-// reused scratch pair.
-func (r *Rule) Route(p point.Point) (gid int, ok bool) {
-	if r.assignFn != nil {
-		return r.assignFn(p)
-	}
-	g := r.enc.Grid(p)
-	if r.szb != nil && !r.filterOff && r.szb.DominatesPoint(g, p) {
-		return 0, false
-	}
-	gid, ok = r.groupOf[r.partitionOf(r.enc.EncodeGrid(g))]
-	return gid, ok
-}
-
 // partitionOf binary-searches the Z-address into its partition
 // (Algorithm 3's searchPT step).
 func (r *Rule) partitionOf(a zorder.ZAddr) int {
@@ -273,36 +252,18 @@ func (r *Rule) partitionOf(a zorder.ZAddr) int {
 	return lo
 }
 
-// LocalSkyline computes one group's skyline with the configured local
-// algorithm — the slice adapter over the block-native kernels that
-// MapChunk's pointer-per-point path uses.
-func (r *Rule) LocalSkyline(pts []point.Point, tally *metrics.Tally) []point.Point {
-	dims := r.dims
-	if dims == 0 && len(pts) > 0 {
-		dims = len(pts[0])
-	}
-	g := r.localSkylineGroup(Group{Block: point.BlockOf(dims, pts)}, tally, false)
-	return g.Block.Points()
-}
-
 // LocalSkylineGroup is phase 2's reduce on the encode-once path: it
-// reuses the group's Z-address column when its shape matches the
-// rule's bounds encoder, and returns candidates carrying their own
-// column (unless the merge phase is SB, which has no use for one).
+// runs the configured local kernel over g, reusing the group's
+// Z-address column when its shape matches the rule's bounds encoder,
+// and returns candidates carrying their own column (unless the merge
+// phase is SB, which has no use for one).
 func (r *Rule) LocalSkylineGroup(g Group, tally *metrics.Tally) Group {
-	return r.localSkylineGroup(g, tally, true)
-}
-
-// localSkylineGroup runs the configured local kernel over g. carryZ
-// selects whether the result should carry a bounds-encoder column for
-// the merge phase; slice/block adapters skip that work.
-func (r *Rule) localSkylineGroup(g Group, tally *metrics.Tally, carryZ bool) Group {
 	out := Group{Gid: g.Gid, Block: point.Block{Dims: g.Block.Dims}}
 	n := g.Block.Len()
 	if n == 0 {
 		return out
 	}
-	carryZ = carryZ && r.merge != MergeSB
+	carryZ := r.merge != MergeSB
 	if r.local == ZS {
 		if g.ZCol.Len() == n && g.ZCol.Words == r.enc.Words() {
 			// Encode-once: the column is bounds-encoded, so the kernel must
@@ -324,52 +285,16 @@ func (r *Rule) localSkylineGroup(g Group, tally *metrics.Tally, carryZ bool) Gro
 		}
 		return out
 	}
-	out.Block = r.sbBlock(g.Block, tally)
+	out.Block = dominance.SkylineBlock(r.prov, g.Block, tally)
 	if carryZ {
 		out.ZCol = r.enc.EncodeBlock(zorder.ZCol{}, out.Block)
 	}
 	return out
 }
 
-// sbBlock is the SB kernel under the rule's relation: the hardcoded
-// sort-based skyline for Pareto, the generic provider kernel otherwise.
-func (r *Rule) sbBlock(b point.Block, tally *metrics.Tally) point.Block {
-	if r.pareto() {
-		return seq.SBBlock(b, tally)
-	}
-	return dominance.SkylineBlock(r.prov, b, tally)
-}
-
-// MapChunk is phase 2's map+combine over one chunk of individual
-// points: filter against the SZB-tree, route to groups (first-seen
-// order), and emit the chunk-local skyline per group. This is the
-// pointer-per-point path; MapBlock is the flat equivalent bulk movers
-// use.
-func (r *Rule) MapChunk(pts []point.Point, tally *metrics.Tally) MapOutput {
-	byGroup := map[int][]point.Point{}
-	var order []int
-	var out MapOutput
-	for _, p := range pts {
-		gid, ok := r.Route(p)
-		if !ok {
-			out.Filtered++
-			continue
-		}
-		if _, seen := byGroup[gid]; !seen {
-			order = append(order, gid)
-		}
-		byGroup[gid] = append(byGroup[gid], p)
-	}
-	tally.AddPointsPruned(out.Filtered)
-	out.Groups = make([]Group, len(order))
-	for i, gid := range order {
-		out.Groups[i] = NewGroup(gid, r.dims, r.LocalSkyline(byGroup[gid], tally))
-	}
-	return out
-}
-
-// MapBlock is MapChunk over a contiguous block — the phase-2 hot path.
-// Routing reuses one grid/Z-address scratch pair across all rows and
+// MapBlock is phase 2's map+combine over one contiguous chunk: filter
+// each row against the SZB-tree, route it to its group (first-seen
+// order), and emit the chunk-local skyline per group. Routing reuses one grid/Z-address scratch pair across all rows and
 // routed points accumulate in per-group arenas, so the per-point cost
 // is zero allocations (the old path paid an encoded ZB-tree entry per
 // point). On the Z-order path the address computed for routing is
@@ -458,7 +383,7 @@ func (r *Rule) MergeGroupsZ(groups []Group, tally *metrics.Tally) Group {
 		for _, g := range groups {
 			bb.AppendBlock(g.Block)
 		}
-		out.Block = r.sbBlock(bb.Build(), tally)
+		out.Block = dominance.SkylineBlock(r.prov, bb.Build(), tally)
 		return out
 	}
 	blocks := make([]point.Block, len(groups))

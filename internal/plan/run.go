@@ -3,7 +3,6 @@ package plan
 import (
 	"context"
 	"fmt"
-	"io"
 	"time"
 
 	"zskyline/internal/dominance"
@@ -48,53 +47,38 @@ type Report struct {
 }
 
 // Run executes the full three-phase pipeline on ex over an in-memory
-// dataset. It is RunSource over the dataset's block adapter.
-func Run(ctx context.Context, spec *Spec, ds *point.Dataset, ex Executor, tally *metrics.Tally) ([]point.Point, *Report, error) {
-	if ds == nil || ds.Len() == 0 {
-		return nil, &Report{}, nil
-	}
-	return RunSource(ctx, spec, point.NewDatasetSource(ds), ex, tally)
-}
-
-// RunSource executes the full three-phase pipeline on ex: drain src
-// into contiguous blocks (folding bounds in the same pass), learn the
-// rule from a sample, map/combine/reduce to per-group skyline
-// candidates, and merge them into the exact global skyline.
+// dataset: copy it into contiguous blocks (folding bounds in the same
+// pass), learn the rule from a sample, map/combine/reduce to per-group
+// skyline candidates, merge them into the global skyline, and close
+// that under a non-transitive relation (VerifyCandidates).
 //
-// When ctx carries an obs trace (obs.ContextWithTrace), RunSource
-// emits the library's uniform span taxonomy — learn, map,
-// local-skyline, and merge/round-N — under the context's current span,
-// so every substrate produces structurally identical trace reports.
-func RunSource(ctx context.Context, spec *Spec, src point.Source, ex Executor, tally *metrics.Tally) ([]point.Point, *Report, error) {
+// When ctx carries an obs trace (obs.ContextWithTrace), Run emits the
+// library's uniform span taxonomy — learn, map, local-skyline,
+// merge/round-N and, when it runs, verify — under the context's
+// current span, so every substrate produces structurally identical
+// trace reports.
+func Run(ctx context.Context, spec *Spec, ds *point.Dataset, ex Executor, tally *metrics.Tally) ([]point.Point, *Report, error) {
 	rep := &Report{}
-	if src == nil {
+	if ds == nil || ds.Len() == 0 {
 		return nil, rep, nil
 	}
+	if ds.Dims <= 0 {
+		return nil, nil, fmt.Errorf("plan: dataset has no dimensionality")
+	}
+	n := ds.Len()
 	total := time.Now()
 
 	// ---- Phase 1: preprocessing on the master ----
 	learnSpan, lctx := obs.StartSpan(ctx, "learn")
 	t0 := time.Now()
-	blocks, mins, maxs, n, err := ingest(src, spec)
-	if err != nil {
-		learnSpan.End()
-		return nil, nil, err
-	}
-	if n == 0 {
-		learnSpan.End()
-		return nil, rep, nil
-	}
-	rows := make([]point.Point, 0, n)
-	for _, b := range blocks {
-		rows = b.AppendPoints(rows)
-	}
-	smp, err := sample.Ratio(rows, spec.SampleRatio, spec.Seed)
+	blocks, mins, maxs := ingest(ds, spec)
+	smp, err := sample.Ratio(ds.Points, spec.SampleRatio, spec.Seed)
 	if err != nil {
 		learnSpan.End()
 		return nil, nil, err
 	}
 	rep.SampleSize = len(smp)
-	r, err := Learn(spec, src.Dims(), mins, maxs, smp, tally)
+	r, err := Learn(spec, ds.Dims, mins, maxs, smp, tally)
 	if err != nil {
 		learnSpan.End()
 		return nil, nil, err
@@ -140,7 +124,15 @@ func RunSource(ctx context.Context, spec *Spec, src point.Source, ex Executor, t
 	if err != nil {
 		return nil, nil, err
 	}
-	sky = verifyCandidates(ctx, r, sky, blocks, tally)
+	sky, err = VerifyCandidates(ctx, r.prov, sky, func(visit func(point.Block)) error {
+		for _, b := range blocks {
+			visit(b)
+		}
+		return nil
+	}, tally)
+	if err != nil {
+		return nil, nil, err
+	}
 	rep.Phase3 = time.Since(t2)
 	rep.SkylineSize = len(sky)
 	rep.Total = time.Since(total)
@@ -156,60 +148,46 @@ func RunSource(ctx context.Context, spec *Spec, src point.Source, ex Executor, t
 	return sky, rep, nil
 }
 
-// verifyCandidates closes the pipeline for non-transitive dominance
-// relations: local and merge phases then produce candidate supersets
-// (an eliminated point can still dominate a candidate), so every
-// candidate is retested against the full ingested dataset. Elimination
+// VerifyCandidates is the closure pass for non-transitive dominance
+// relations, shared by every executor. Local and merge phases then
+// produce a candidate superset (an eliminated point can still dominate
+// a candidate), so every candidate is retested against the full
+// dataset, which scan hands to visit block by block — from memory, or
+// re-streamed from a file so the caller never holds it. Elimination
 // cites a real dataset point, which is sound under any irreflexive
 // relation; candidates are compacted copies, so their own source rows
 // are merely coordinate-equal and never self-eliminate. Transitive
-// relations (Pareto included) return sky unchanged.
-func verifyCandidates(ctx context.Context, r *Rule, sky []point.Point, blocks []point.Block, tally *metrics.Tally) []point.Point {
-	if r.pareto() || r.caps.Transitive || len(sky) == 0 {
-		return sky
+// relations (Pareto included) return sky unchanged without calling
+// scan.
+func VerifyCandidates(ctx context.Context, prov dominance.Provider, sky []point.Point, scan func(visit func(point.Block)) error, tally *metrics.Tally) ([]point.Point, error) {
+	if dominance.IsPareto(prov) || prov.Caps().Transitive || len(sky) == 0 {
+		return sky, nil
 	}
 	sp, _ := obs.StartSpan(ctx, "verify")
+	defer sp.End()
 	sp.SetAttr("candidates", len(sky))
-	cand := point.BlockOf(r.dims, sky)
-	for _, b := range blocks {
-		cand = dominance.FilterBlock(r.prov, cand, b, tally)
+	cand := point.BlockOf(len(sky[0]), sky)
+	err := scan(func(b point.Block) { cand = dominance.FilterBlock(prov, cand, b, tally) })
+	if err != nil {
+		return nil, err
 	}
 	sp.SetAttr("skyline", cand.Len())
-	sp.End()
-	return cand.Points()
+	return cand.Points(), nil
 }
 
-// ingest drains the source into blocks, folding the running bounds in
-// the same pass. The drain batch size follows the spec's ChunkSize so
-// streaming sources hand back blocks already shaped for the map phase.
-func ingest(src point.Source, spec *Spec) (blocks []point.Block, mins, maxs []float64, n int, err error) {
-	dims := src.Dims()
-	if dims <= 0 {
-		return nil, nil, nil, 0, fmt.Errorf("plan: source has no dimensionality")
-	}
+// ingest copies the dataset into contiguous blocks of ChunkSize rows
+// (1<<16 when unset), folding the running bounds in the same pass.
+func ingest(ds *point.Dataset, spec *Spec) (blocks []point.Block, mins, maxs []float64) {
 	batch := spec.ChunkSize
 	if batch <= 0 {
 		batch = 1 << 16
 	}
-	for {
-		b, err := src.Next(batch)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, nil, nil, 0, err
-		}
-		if b.Len() == 0 {
-			continue
-		}
-		if b.Dims != dims {
-			return nil, nil, nil, 0, fmt.Errorf("plan: source block has %d dims, want %d", b.Dims, dims)
-		}
+	for lo := 0; lo < len(ds.Points); lo += batch {
+		b := point.BlockOf(ds.Dims, ds.Points[lo:min(lo+batch, len(ds.Points))])
 		mins, maxs = b.UpdateBounds(mins, maxs)
 		blocks = append(blocks, b)
-		n += b.Len()
 	}
-	return blocks, mins, maxs, n, nil
+	return blocks, mins, maxs
 }
 
 // runPhase2 prefers the substrate's fused map-reduce when offered,

@@ -73,14 +73,6 @@ func (b Block) Points() []Point {
 	return pts
 }
 
-// AppendPoints appends zero-copy row views to dst.
-func (b Block) AppendPoints(dst []Point) []Point {
-	for i := 0; i < b.Len(); i++ {
-		dst = append(dst, b.Row(i))
-	}
-	return dst
-}
-
 // Slice returns the zero-copy sub-block of rows [lo, hi).
 func (b Block) Slice(lo, hi int) Block {
 	return Block{Dims: b.Dims, Data: b.Data[lo*b.Dims : hi*b.Dims : hi*b.Dims]}

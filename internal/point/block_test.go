@@ -3,7 +3,6 @@ package point
 import (
 	"bytes"
 	"encoding/gob"
-	"io"
 	"testing"
 )
 
@@ -193,41 +192,5 @@ func TestBuilderDetaches(t *testing.T) {
 	}
 	if first.Row(0)[0] != 1 || second.Row(0)[0] != 3 {
 		t.Error("builder arenas alias across Build")
-	}
-}
-
-func TestSliceAndBlockSources(t *testing.T) {
-	pts := []Point{{1, 1}, {2, 2}, {3, 3}, {4, 4}, {5, 5}}
-	for name, src := range map[string]Source{
-		"slice": NewSliceSource(2, pts),
-		"block": NewBlockSource(BlockOf(2, pts)),
-	} {
-		var rows int
-		var batches int
-		s := src
-		for {
-			b, err := s.Next(2)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			rows += b.Len()
-			batches++
-			if b.Dims != 2 {
-				t.Fatalf("%s: dims %d", name, b.Dims)
-			}
-		}
-		if rows != 5 || batches != 3 {
-			t.Errorf("%s: drained %d rows in %d batches", name, rows, batches)
-		}
-	}
-	all, err := ReadAll(NewSliceSource(2, pts))
-	if err != nil || all.Len() != 5 {
-		t.Fatalf("ReadAll = %dx%d, %v", all.Len(), all.Dims, err)
-	}
-	if !all.Row(4).Equal(pts[4]) {
-		t.Error("ReadAll row drifted")
 	}
 }

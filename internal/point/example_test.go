@@ -2,7 +2,6 @@ package point_test
 
 import (
 	"fmt"
-	"io"
 
 	"zskyline/internal/point"
 )
@@ -24,31 +23,4 @@ func ExampleBlockBuilder() {
 	// rows: 3 dims: 2
 	// row 1: (2, 2)
 	// views: [(1, 9) (2, 2) (9, 1)]
-}
-
-// A Source streams a dataset as Blocks until io.EOF. Blocks may be
-// shorter than max; callers own every returned block.
-func ExampleSource() {
-	pts := []point.Point{{1, 9}, {2, 2}, {9, 1}, {5, 5}, {3, 8}}
-	var src point.Source = point.NewSliceSource(2, pts)
-
-	total := 0
-	for {
-		b, err := src.Next(2) // at most 2 rows per block
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			fmt.Println("error:", err)
-			return
-		}
-		total += b.Len()
-		fmt.Println("block:", b.Points())
-	}
-	fmt.Println("streamed:", total)
-	// Output:
-	// block: [(1, 9) (2, 2)]
-	// block: [(9, 1) (5, 5)]
-	// block: [(3, 8)]
-	// streamed: 5
 }

@@ -97,55 +97,6 @@ func DominatesRows(a Block, i int, b Block, j int) bool {
 	return strict
 }
 
-// DominatesOrEqual reports whether p[i] <= q[i] in every dimension.
-func DominatesOrEqual(p, q Point) bool {
-	if len(p) != len(q) {
-		return false
-	}
-	for i := range p {
-		if p[i] > q[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Compare classifies the dominance relationship between p and q.
-type Relation int
-
-// Possible outcomes of Compare.
-const (
-	Incomparable Relation = iota // neither dominates the other
-	PDominatesQ                  // p dominates q
-	QDominatesP                  // q dominates p
-	Equal                        // identical coordinates
-)
-
-// Compare performs a single pass over both points and classifies their
-// relationship. It is cheaper than calling Dominates twice.
-func Compare(p, q Point) Relation {
-	pBetter, qBetter := false, false
-	for i := range p {
-		switch {
-		case p[i] < q[i]:
-			pBetter = true
-		case p[i] > q[i]:
-			qBetter = true
-		}
-		if pBetter && qBetter {
-			return Incomparable
-		}
-	}
-	switch {
-	case pBetter:
-		return PDominatesQ
-	case qBetter:
-		return QDominatesP
-	default:
-		return Equal
-	}
-}
-
 // Dataset is a collection of points sharing one dimensionality.
 type Dataset struct {
 	Dims   int
@@ -238,31 +189,16 @@ func Less(p, q Point) bool {
 	return len(p) < len(q)
 }
 
-// SumCoords returns the L1 norm of p (used by sort-based skyline
-// algorithms as a topological order: if p dominates q then
-// SumCoords(p) < SumCoords(q)).
+// SumCoords returns the sum of p's coordinates, the order sort-based
+// skyline algorithms process points in: if p dominates q then
+// SumCoords(p) <= SumCoords(q). In exact arithmetic the inequality is
+// strict, but rounding can tie the two (1e300+0.4 == 1e300+0.5), so
+// such callers break ties with Less, under which a dominator always
+// comes first.
 func SumCoords(p Point) float64 {
 	s := 0.0
 	for _, v := range p {
 		s += v
 	}
 	return s
-}
-
-// MinCorner returns the componentwise minimum of p and q.
-func MinCorner(p, q Point) Point {
-	r := make(Point, len(p))
-	for i := range p {
-		r[i] = math.Min(p[i], q[i])
-	}
-	return r
-}
-
-// MaxCorner returns the componentwise maximum of p and q.
-func MaxCorner(p, q Point) Point {
-	r := make(Point, len(p))
-	for i := range p {
-		r[i] = math.Max(p[i], q[i])
-	}
-	return r
 }

@@ -1,6 +1,7 @@
 package seq
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -55,21 +56,14 @@ func TestKnownSkyline2D(t *testing.T) {
 	}
 	want := []point.Point{{1, 9}, {2, 6}, {4, 4}, {6, 3}, {7, 2}, {9, 1}}
 	sameSkyline(t, BruteForce(pts), want, "brute")
-	sameSkyline(t, BNL(pts, nil), want, "bnl")
 	sameSkyline(t, SB(pts, nil), want, "sb")
 }
 
 func TestEmptyAndSingleton(t *testing.T) {
-	if got := BNL(nil, nil); len(got) != 0 {
-		t.Errorf("BNL(nil) = %v", got)
-	}
 	if got := SB(nil, nil); len(got) != 0 {
 		t.Errorf("SB(nil) = %v", got)
 	}
 	one := []point.Point{{1, 2}}
-	if got := BNL(one, nil); len(got) != 1 {
-		t.Errorf("BNL singleton = %v", got)
-	}
 	if got := SB(one, nil); len(got) != 1 {
 		t.Errorf("SB singleton = %v", got)
 	}
@@ -80,7 +74,7 @@ func TestAllIdenticalPoints(t *testing.T) {
 	for _, algo := range []struct {
 		name string
 		f    func([]point.Point, *metrics.Tally) []point.Point
-	}{{"bnl", BNL}, {"sb", SB}} {
+	}{{"sb", SB}, {"brute", func(p []point.Point, _ *metrics.Tally) []point.Point { return BruteForce(p) }}} {
 		if got := algo.f(pts, nil); len(got) != 3 {
 			t.Errorf("%s on identical points kept %d, want 3", algo.name, len(got))
 		}
@@ -94,7 +88,6 @@ func TestTotallyOrderedChain(t *testing.T) {
 		pts = append(pts, point.Point{float64(i), float64(i), float64(i)})
 	}
 	want := []point.Point{{1, 1, 1}}
-	sameSkyline(t, BNL(pts, nil), want, "bnl")
 	sameSkyline(t, SB(pts, nil), want, "sb")
 }
 
@@ -104,15 +97,12 @@ func TestAntiChain(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		pts = append(pts, point.Point{float64(i), float64(19 - i)})
 	}
-	if got := BNL(pts, nil); len(got) != 20 {
-		t.Errorf("BNL kept %d, want 20", len(got))
-	}
 	if got := SB(pts, nil); len(got) != 20 {
 		t.Errorf("SB kept %d, want 20", len(got))
 	}
 }
 
-// Property: BNL and SB agree with BruteForce on random inputs, across
+// Property: SB agrees with BruteForce on random inputs, across
 // dimensionalities and tie-heavy integer domains.
 func TestAlgorithmsAgreeWithOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
@@ -125,8 +115,19 @@ func TestAlgorithmsAgreeWithOracle(t *testing.T) {
 		}
 		pts := randomPoints(rng, n, d, domain)
 		want := BruteForce(pts)
-		sameSkyline(t, BNL(pts, nil), want, "bnl")
 		sameSkyline(t, SB(pts, nil), want, "sb")
+	}
+}
+
+// A dominator whose coordinate sum rounds to its victim's must still
+// be processed first: 1e300+0.4 and 1e300+0.5 are the same float.
+func TestSBSumTiesUnderRounding(t *testing.T) {
+	for _, pts := range [][]point.Point{
+		{{1e300, 0.5}, {1e300, 0.4}},
+		{{1e300, 0.4}, {1e300, 0.5}},
+		{{0.5, 1e300, -1e300}, {0.4, 1e300, -1e300}, {0.5, 1e300, -1e300}},
+	} {
+		sameSkyline(t, SB(pts, nil), BruteForce(pts), fmt.Sprint(pts))
 	}
 }
 
@@ -137,7 +138,6 @@ func TestInputNotMutated(t *testing.T) {
 		orig[i] = p.Clone()
 	}
 	SB(pts, nil)
-	BNL(pts, nil)
 	for i := range pts {
 		if !pts[i].Equal(orig[i]) {
 			t.Fatalf("input mutated at %d: %v", i, pts[i])
@@ -164,29 +164,17 @@ func TestFilter(t *testing.T) {
 }
 
 func TestTallyCounts(t *testing.T) {
-	tal := &metrics.Tally{}
 	pts := randomPoints(rand.New(rand.NewSource(3)), 200, 3, 0)
-	BNL(pts, tal)
-	if tal.Snapshot().DominanceTests == 0 {
-		t.Error("BNL recorded no dominance tests")
-	}
-	tal2 := &metrics.Tally{}
-	SB(pts, tal2)
-	if tal2.Snapshot().DominanceTests == 0 {
+	tal := &metrics.Tally{}
+	SB(pts, tal)
+	tests := tal.Snapshot().DominanceTests
+	if tests == 0 {
 		t.Error("SB recorded no dominance tests")
 	}
-	// SB should need no more tests than BNL on the same input (its
-	// window is append-only and checks stop at first dominator).
-	if tal2.Snapshot().DominanceTests > tal.Snapshot().DominanceTests*2 {
-		t.Errorf("SB used %d tests vs BNL %d", tal2.Snapshot().DominanceTests, tal.Snapshot().DominanceTests)
-	}
-}
-
-func BenchmarkBNL1k5d(b *testing.B) {
-	pts := randomPoints(rand.New(rand.NewSource(1)), 1000, 5, 0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		BNL(pts, nil)
+	// The window is append-only and a row stops at its first
+	// dominator, so no pair is tested twice.
+	if max := int64(len(pts) * (len(pts) - 1) / 2); tests > max {
+		t.Errorf("SB used %d tests, more than the %d pairs", tests, max)
 	}
 }
 
@@ -195,62 +183,5 @@ func BenchmarkSB1k5d(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		SB(pts, nil)
-	}
-}
-
-func TestDCMatchesOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for iter := 0; iter < 100; iter++ {
-		d := 1 + rng.Intn(6)
-		n := rng.Intn(600)
-		domain := 0
-		if iter%2 == 0 {
-			domain = 2 + rng.Intn(5)
-		}
-		pts := randomPoints(rng, n, d, domain)
-		sameSkyline(t, DC(pts, nil), BruteForce(pts), "dc")
-	}
-}
-
-func TestDCEdgeCases(t *testing.T) {
-	if got := DC(nil, nil); got != nil {
-		t.Errorf("DC(nil) = %v", got)
-	}
-	// All identical: everything survives, recursion must terminate.
-	pts := make([]point.Point, 500)
-	for i := range pts {
-		pts[i] = point.Point{1, 2, 3}
-	}
-	if got := DC(pts, nil); len(got) != 500 {
-		t.Errorf("DC identical kept %d, want 500", len(got))
-	}
-	// One constant dimension, one varying.
-	var mixed []point.Point
-	for i := 0; i < 300; i++ {
-		mixed = append(mixed, point.Point{5, float64(i % 7)})
-	}
-	sameSkyline(t, DC(mixed, nil), BruteForce(mixed), "dc-mixed")
-}
-
-func TestDCDoesNotMutateInput(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	pts := randomPoints(rng, 300, 3, 0)
-	orig := make([]point.Point, len(pts))
-	for i, p := range pts {
-		orig[i] = p.Clone()
-	}
-	DC(pts, nil)
-	for i := range pts {
-		if !pts[i].Equal(orig[i]) {
-			t.Fatal("DC mutated its input")
-		}
-	}
-}
-
-func BenchmarkDC10k5d(b *testing.B) {
-	pts := randomPoints(rand.New(rand.NewSource(1)), 10000, 5, 0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		DC(pts, nil)
 	}
 }

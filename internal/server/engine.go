@@ -417,7 +417,7 @@ func queryRows(data point.Block, cols []prefCol) []int {
 	// Projection row i is data row i, so the skyline's row indices are
 	// the answer as they stand.
 	var rows []int
-	for _, r := range seq.SBRows(proj, nil) {
+	for _, r := range seq.SBRows(proj, nil, nil) {
 		rows = append(rows, int(r))
 	}
 	sort.Ints(rows)

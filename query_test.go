@@ -3,6 +3,7 @@ package zskyline
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -108,6 +109,29 @@ func TestQueryDuplicateRowsAllReturned(t *testing.T) {
 	}
 	if len(res.RowIDs) != 2 || res.RowIDs[0] != 0 || res.RowIDs[1] != 1 {
 		t.Fatalf("duplicate handling: rows = %v", res.RowIDs)
+	}
+}
+
+// Rows that agree to six printed digits are still distinct rows: the
+// skyline must map back to the row that is actually on it, and to the
+// grouped form too.
+func TestQueryNearTiesMapByExactValue(t *testing.T) {
+	rows := [][]float64{{0.1234564, 0.5, 1}, {0.1234561, 0.5, 1}, {0.9, 0.1, 1}}
+	rel := mustRelation(t, []string{"x", "y", "city"}, rows)
+	q := Query{Prefer: []Pref{{"x", Min}, {"y", Min}}}
+	res, err := RunQuery(context.Background(), rel, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(res.RowIDs) != "[1 2]" {
+		t.Fatalf("rows = %v, want [1 2]: row 1 dominates row 0", res.RowIDs)
+	}
+	grouped, err := RunGroupedQuery(context.Background(), rel, "city", q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(grouped.Groups[1]); got != "[1 2]" {
+		t.Fatalf("grouped rows = %v, want [1 2]", got)
 	}
 }
 

@@ -128,6 +128,7 @@ func Skyline(ctx context.Context, dims int, pts []Point) ([]Point, error) {
 
 // SequentialSkyline computes the skyline with the sort-based
 // single-machine algorithm — handy as a reference and for small inputs.
+// Every point must have the dimensionality of the first.
 func SequentialSkyline(pts []Point) []Point { return seq.SB(pts, nil) }
 
 // GPMRSConfig parameterizes the MR-GPMRS baseline.
